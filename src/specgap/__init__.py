@@ -35,11 +35,9 @@ from .oracle import (
     spectral_decompose,
     theorem1_slope_check,
 )
-from .tensor import BondWeights, Tensor, contract, svd_truncate
 from .wii import Mpo, MpoBlocks, build_wii, hamiltonian_line_mpo
 
 __all__ = [
-    "BondWeights",
     "CONSTANTS",
     "EvolutionSchedule",
     "GapEstimate",
@@ -55,12 +53,10 @@ __all__ = [
     "OverlapClass",
     "OverlapKind",
     "SpectralDecomposition",
-    "Tensor",
     "build_wii",
     "classify_overlap",
     "commutator_expectation_exact",
     "commutator_terms",
-    "contract",
     "estimate_gap",
     "evolve_exact",
     "fit_gap",
@@ -74,7 +70,6 @@ __all__ = [
     "run_evolution_peps",
     "spectral_decompose",
     "superorthogonalize",
-    "svd_truncate",
     "tfim",
     "tfim_chain",
     "tfim_chain_model",

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimator, models, oracle
-from .estimator import GapTrace, estimate_gap
+from .estimator import GapTrace, estimate_gap, record_trace
 from .imps import EvolutionSchedule, run_evolution_1d
 from .ipeps import run_evolution_peps
 
@@ -68,8 +68,6 @@ class RunConfig:
             cfg.window_rel_tol = 5e-2 if _uses_gates(cfg) else 5e-3
         if cfg.flatten <= 0:
             cfg.flatten = 15 if _uses_gates(cfg) else 1
-        if cfg.measure_every < 1:
-            raise ValueError("measure_every must be positive")
         if not cfg.tag:
             cfg.tag = cfg.model
         return cfg
@@ -146,20 +144,6 @@ def _oracle_random_trace(cfg: RunConfig) -> tuple[GapTrace, dict]:
     cls = oracle.classify_overlap(d, obs, phi0)
     if cls.kind is oracle.OverlapKind.NEITHER:
         raise RuntimeError("random instance satisfies neither overlap condition")
-    taus, cs = [], []
-    c_start = None
-    for step in range(int(round(cfg.tau_max / cfg.dtau)) + 1):
-        tau = step * cfg.dtau
-        val = abs(oracle.commutator_expectation_exact(d, obs, phi0, tau))
-        if val == 0.0:
-            break
-        c = float(np.log(val))
-        taus.append(tau)
-        cs.append(c)
-        if c_start is None:
-            c_start = c
-        elif c - c_start < np.log(1e-14):
-            break
     meta = {
         "model": "oracle-random",
         "scheme": "exact",
@@ -169,13 +153,19 @@ def _oracle_random_trace(cfg: RunConfig) -> tuple[GapTrace, dict]:
         "exact_gap": d.gap(),
         "overlap_class": cls.kind.value,
     }
-    return GapTrace(np.array(taus), np.array(cs), meta), meta
+    # the exact evolution needs no state beyond tau itself
+    trace = record_trace(
+        0.0,
+        lambda tau, step: step * cfg.dtau,
+        lambda tau: oracle.commutator_expectation_exact(d, obs, phi0, tau),
+        cfg.dtau, cfg.tau_max, cfg.measure_every, meta,
+    )
+    return trace, meta
 
 
-def execute_run(cfg: RunConfig) -> tuple[GapTrace, "estimator.GapEstimate", dict]:
-    """Run the configured evolution and fit the gap (no file I/O)."""
-    cfg = cfg.resolve()
-    schedule = EvolutionSchedule(
+def evolution_schedule(cfg: RunConfig) -> EvolutionSchedule:
+    """Schedule of a resolved config; ValueError when it is invalid."""
+    return EvolutionSchedule(
         dtau=cfg.dtau,
         tau_max=cfg.tau_max,
         measure_every=cfg.measure_every,
@@ -185,6 +175,12 @@ def execute_run(cfg: RunConfig) -> tuple[GapTrace, "estimator.GapEstimate", dict
         so_tol=cfg.so_tol,
         so_every=cfg.so_every,
     )
+
+
+def execute_run(
+    cfg: RunConfig, schedule: EvolutionSchedule
+) -> tuple[GapTrace, "estimator.GapEstimate", dict]:
+    """Run the evolution of a resolved config and fit the gap (no file I/O)."""
     extra: dict = {}
     if cfg.model == "oracle-random":
         trace, extra = _oracle_random_trace(cfg)
@@ -204,6 +200,7 @@ def run(cfg: RunConfig) -> int:
     """Execute one run and persist trace, derivative and summary files."""
     try:
         cfg = cfg.resolve()
+        schedule = evolution_schedule(cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -211,7 +208,7 @@ def run(cfg: RunConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     try:
-        trace, est, extra = execute_run(cfg)
+        trace, est, extra = execute_run(cfg, schedule)
     except Exception as exc:  # numeric failure: report and bail out
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -251,12 +248,20 @@ def run(cfg: RunConfig) -> int:
 
 
 def sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
-    """Run a grid over one numeric parameter, aggregating gap vs value."""
+    """Run a grid over one numeric parameter, aggregating gap vs value.
+
+    A point that fails (usage error or numeric failure) becomes a row with
+    gap nan and its exit status as the quality; the sweep returns the
+    worst exit code of its points.
+    """
     if not values:
         print("error: empty sweep grid", file=sys.stderr)
         return EXIT_USAGE
     if param not in ("J", "g", "D", "dtau"):
         print(f"error: cannot sweep {param!r}", file=sys.stderr)
+        return EXIT_USAGE
+    if param == "D" and not all(v.is_integer() for v in values):
+        print("error: D values must be integers", file=sys.stderr)
         return EXIT_USAGE
     try:
         cfg = cfg.resolve()
@@ -271,13 +276,17 @@ def sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
         sub = RunConfig(**{f.name: getattr(cfg, f.name) for f in fields(RunConfig)})
         setattr(sub, param, int(v) if param == "D" else float(v))
         sub.tag = f"{cfg.tag}_{param}{v:g}"
+        summary = outdir / f"{sub.tag}_summary.txt"
+        summary.unlink(missing_ok=True)
         code = run(sub)
         worst = max(worst, code)
-        summary = outdir / f"{sub.tag}_summary.txt"
-        vals = dict(
-            line.split("=", 1) for line in summary.read_text().splitlines()
-        )
-        rows.append((v, vals["gap"], vals["err"], vals["quality"]))
+        if code in (EXIT_OK, EXIT_NO_WINDOW):
+            vals = dict(
+                line.split("=", 1) for line in summary.read_text().splitlines()
+            )
+            rows.append((v, vals["gap"], vals["err"], vals["quality"]))
+        else:
+            rows.append((v, "nan", "nan", f"exit-{code}"))
     lines = ["param,gap,err,quality"]
     lines += [f"{v!r},{g},{e},{q}" for v, g, e, q in rows]
     (outdir / f"{cfg.tag}_sweep.csv").write_text("\n".join(lines) + "\n")

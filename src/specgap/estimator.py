@@ -8,6 +8,7 @@ then a least-squares line through the plateau whose negated slope is the gap.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,40 @@ class GapTrace:
 
     def __len__(self) -> int:
         return self.taus.size
+
+
+def record_trace(
+    state,
+    advance: Callable,
+    measure: Callable,
+    dtau: float,
+    tau_max: float,
+    measure_every: int,
+    metadata: dict,
+) -> GapTrace:
+    """Evolve ``state`` and sample C(tau) = ln|measure(state)| into a trace.
+
+    Step k >= 1 is ``state = advance(state, k)`` and reaches tau = k * dtau;
+    every ``measure_every``-th step is measured, step 0 included.  Zero and
+    non-finite values are skipped (a trace gap).  Stops at tau_max or once
+    C has dropped by ln(1e-14) below its first sample.
+    """
+    taus, cs = [], []
+    c_start = None
+    for step in range(int(round(tau_max / dtau)) + 1):
+        if step > 0:
+            state = advance(state, step)
+        if step % measure_every == 0:
+            val = measure(state)
+            if np.isfinite(val) and val != 0.0:
+                c = float(np.log(abs(val)))
+                taus.append(step * dtau)
+                cs.append(c)
+                if c_start is None:
+                    c_start = c
+                elif c - c_start < np.log(1e-14):
+                    break
+    return GapTrace(np.array(taus), np.array(cs), metadata)
 
 
 @dataclass

@@ -9,16 +9,14 @@ the canonical closure, which is exact in 1D.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
-from .estimator import GapTrace
+from .estimator import GapTrace, record_trace
 from .models import Model, OperatorTerms
 from .tensor import add_work, choose_rank, einsum2, psd_factor, svd_fixed
-
-UNDERFLOW_DROP = np.log(1e-14)
 
 
 @dataclass
@@ -244,7 +242,6 @@ class EvolutionSchedule:
     so_tol: float = 1e-10
     so_every: int = 10
     rel_tol: float = 1e-14  # relative singular-value floor (drops float noise)
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.dtau <= 0:
@@ -283,24 +280,35 @@ def bond_gate(h_bond: np.ndarray, dtau: float) -> np.ndarray:
     return expm(-dtau * h_bond).reshape(d, d, d, d)
 
 
-def _sweep_1d(
-    state: IMpsState,
-    g_half: np.ndarray,
-    g_full: np.ndarray,
+def _setup_1d(
+    model: Model,
+    schedule: EvolutionSchedule,
     D_max: int,
-    rel_tol: float,
+    seed: int,
     gauge_tol: float,
-) -> IMpsState:
-    """One second-order Trotter sweep followed by gauge restoration.
+):
+    """Initial product state and the ``advance(state, step)`` sweep of a
+    1D run.
 
-    Imaginary-time gates are not unitary, so a plain bond update leaves the
-    state off the canonical form by O(dtau); re-canonicalizing every sweep
-    keeps the closure (and with it every measurement) exact.
+    One sweep is second-order Trotter: bond 0 at dtau/2, bond 1 at dtau,
+    bond 0 at dtau/2.  Imaginary-time gates are not unitary, so a plain
+    bond update leaves the state off the canonical form by O(dtau);
+    re-canonicalizing every sweep keeps the closure (and with it every
+    measurement) exact.
     """
-    state, _ = tebd_step(state, g_half, 0, D_max, rel_tol)
-    state, _ = tebd_step(state, g_full, 1, D_max, rel_tol)
-    state, _ = tebd_step(state, g_half, 0, D_max, rel_tol)
-    return recanonicalize(state, tol=gauge_tol)
+    if model.lattice.dimension != 1:
+        raise ValueError("a 1D evolution needs a one-dimensional model")
+    h = collect_bond_hamiltonian(model.hamiltonian, model.lattice.connectivity)
+    g_half = bond_gate(h, schedule.dtau / 2.0)
+    g_full = bond_gate(h, schedule.dtau)
+
+    def advance(state: IMpsState, step: int) -> IMpsState:
+        state, _ = tebd_step(state, g_half, 0, D_max, schedule.rel_tol)
+        state, _ = tebd_step(state, g_full, 1, D_max, schedule.rel_tol)
+        state, _ = tebd_step(state, g_half, 0, D_max, schedule.rel_tol)
+        return recanonicalize(state, tol=gauge_tol)
+
+    return random_product_imps(model.hamiltonian.local_dim, seed), advance
 
 
 def run_evolution_1d(
@@ -310,39 +318,12 @@ def run_evolution_1d(
     seed: int | None = None,
     gauge_tol: float = 1e-8,
 ) -> GapTrace:
-    """Second-order Trotter TEBD recording C(tau) = ln|<i[H,O]>| per cell.
-
-    Sweep order: bond 0 at dtau/2, bond 1 at dtau, bond 0 at dtau/2.
-    Stops at tau_max or when C has dropped by ln(1e-14) below its start.
-    """
-    if model.lattice.dimension != 1:
-        raise ValueError("run_evolution_1d needs a one-dimensional model")
+    """Second-order Trotter TEBD recording C(tau) = ln|<i[H,O]>| per cell
+    (see ``record_trace`` for sampling and the underflow stop)."""
     if seed is None:
         seed = schedule.seed
     comm = model.commutator()
-    h = collect_bond_hamiltonian(model.hamiltonian, model.lattice.connectivity)
-    g_half = bond_gate(h, schedule.dtau / 2.0)
-    g_full = bond_gate(h, schedule.dtau)
-
-    state = random_product_imps(model.hamiltonian.local_dim, seed)
-    taus, cs = [], []
-    c_start = None
-    n_steps = int(round(schedule.tau_max / schedule.dtau))
-    for step in range(n_steps + 1):
-        if step > 0:
-            state = _sweep_1d(
-                state, g_half, g_full, D_max, schedule.rel_tol, gauge_tol
-            )
-        if step % schedule.measure_every == 0:
-            val = expectation_terms_imps(state, comm)
-            if np.isfinite(val) and val != 0.0:
-                c = float(np.log(abs(val)))
-                taus.append(step * schedule.dtau)
-                cs.append(c)
-                if c_start is None:
-                    c_start = c
-                elif c - c_start < UNDERFLOW_DROP:
-                    break
+    state, advance = _setup_1d(model, schedule, D_max, seed, gauge_tol)
     metadata = {
         "model": model.name,
         "scheme": "tebd",
@@ -354,7 +335,10 @@ def run_evolution_1d(
         "gauge_tol": gauge_tol,
         **model.params,
     }
-    return GapTrace(np.array(taus), np.array(cs), metadata)
+    return record_trace(
+        state, advance, lambda st: expectation_terms_imps(st, comm),
+        schedule.dtau, schedule.tau_max, schedule.measure_every, metadata,
+    )
 
 
 def final_state_1d(
@@ -367,10 +351,7 @@ def final_state_1d(
     """The evolved state at tau_max (for spectrum/convergence checks)."""
     if seed is None:
         seed = schedule.seed
-    h = collect_bond_hamiltonian(model.hamiltonian, model.lattice.connectivity)
-    g_half = bond_gate(h, schedule.dtau / 2.0)
-    g_full = bond_gate(h, schedule.dtau)
-    state = random_product_imps(model.hamiltonian.local_dim, seed)
-    for _ in range(int(round(schedule.tau_max / schedule.dtau))):
-        state = _sweep_1d(state, g_half, g_full, D_max, schedule.rel_tol, gauge_tol)
+    state, advance = _setup_1d(model, schedule, D_max, seed, gauge_tol)
+    for step in range(1, int(round(schedule.tau_max / schedule.dtau)) + 1):
+        state = advance(state, step)
     return state

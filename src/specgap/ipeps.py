@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import GapTrace
-from .imps import UNDERFLOW_DROP, EvolutionSchedule, bond_gate
+from .estimator import GapTrace, record_trace
+from .imps import EvolutionSchedule, bond_gate
 from .models import LatticeSpec, Model, OperatorTerms
 from .tensor import add_work, choose_rank, einsum2, psd_factor, qr_counted, svd_fixed
 from .wii import Mpo, build_wii, hamiltonian_line_mpo
@@ -200,7 +200,6 @@ class SuperorthResult:
     residual: float
     iterations: int
     converged: bool
-    messages: dict | None = None
 
 
 _GRAM_PLANS: dict = {}
@@ -256,10 +255,7 @@ def _bond_closure(st: IPepsState, site: int, leg: int, msg: np.ndarray) -> np.nd
 
 
 def _message_fixed_point(
-    st: IPepsState,
-    tol: float,
-    max_sweeps: int,
-    init: dict | None = None,
+    st: IPepsState, tol: float, max_sweeps: int
 ) -> dict[tuple[int, int], np.ndarray]:
     """Outgoing bond environments out[(site, leg)] solved self-consistently.
 
@@ -274,13 +270,7 @@ def _message_fixed_point(
     for b in bonds:
         opposite[(b.i_site, b.i_leg)] = (b.j_site, b.j_leg)
         opposite[(b.j_site, b.j_leg)] = (b.i_site, b.i_leg)
-    out = {}
-    for end in opposite:
-        dim = st.lams[lam_key(st, *end)].size
-        if init is not None and end in init and init[end].shape == (dim, dim):
-            out[end] = init[end]
-        else:
-            out[end] = np.eye(dim)
+    out = {end: np.eye(st.lams[lam_key(st, *end)].size) for end in opposite}
     for _ in range(max_sweeps):
         delta = 0.0
         for end in out:
@@ -307,7 +297,6 @@ def superorthogonalize(
     state: IPepsState,
     so_tol: float = 1e-10,
     max_iter: int = 200,
-    msg_init: dict | None = None,
 ) -> tuple[IPepsState, SuperorthResult]:
     """Iterative gauge fixing toward the superorthogonal form.
 
@@ -328,10 +317,7 @@ def superorthogonalize(
     for it in range(max_iter):
         if residual <= so_tol:
             break
-        msgs = _message_fixed_point(
-            st, tol=min(so_tol, 1e-10), max_sweeps=500, init=msg_init
-        )
-        msg_init = None  # the cache only seeds the first pass
+        msgs = _message_fixed_point(st, tol=min(so_tol, 1e-10), max_sweeps=500)
         for b in bond_list(st):
             lam = st.lams[b.key]
             n_i = msgs[(b.i_site, b.i_leg)]
@@ -365,14 +351,7 @@ def superorthogonalize(
             RuntimeWarning,
             stacklevel=2,
         )
-    # converged messages of a canonical state are the identity; exporting
-    # them lets the next application warm-start its fixed point
-    final_msgs = {
-        end: np.eye(st.lams[lam_key(st, *end)].size)
-        for b in bond_list(st)
-        for end in ((b.i_site, b.i_leg), (b.j_site, b.j_leg))
-    }
-    return st, SuperorthResult(residual, iterations, converged, final_msgs)
+    return st, SuperorthResult(residual, iterations, converged)
 
 
 def truncate_bonds(state: IPepsState, D_max: int) -> tuple[IPepsState, float]:
@@ -400,7 +379,6 @@ def apply_axis_mpo(
     D_max: int,
     so_tol: float = 1e-10,
     so_max_iter: int = 200,
-    msg_init: dict | None = None,
 ) -> tuple[IPepsState, SuperorthResult]:
     """Contract one axis propagator into the site tensor and re-truncate.
 
@@ -433,7 +411,7 @@ def apply_axis_mpo(
     st.tensors[0] = merged
     lam = st.lams[axis]
     st.lams[axis] = np.kron(lam, np.ones(dw)) / np.sqrt(dw)
-    st, info = superorthogonalize(st, so_tol, so_max_iter, msg_init=msg_init)
+    st, info = superorthogonalize(st, so_tol, so_max_iter)
     st, _ = truncate_bonds(st, D_max)
     return st, info
 
@@ -666,15 +644,9 @@ def run_evolution_peps(
             for a in range(dlat)
         ]
 
-        msg_cache: dict = {}
-
-        def sweep(st):
+        def advance(st, step):
             for a in range(dlat):
-                st, info = apply_axis_mpo(
-                    st, mpos[a], a, D_max, schedule.so_tol, 200,
-                    msg_init=msg_cache.get("msgs"),
-                )
-                msg_cache["msgs"] = info.messages
+                st, _ = apply_axis_mpo(st, mpos[a], a, D_max, schedule.so_tol, 200)
             return st
 
     else:
@@ -688,35 +660,17 @@ def run_evolution_peps(
                 + np.kron(np.eye(model.hamiltonian.local_dim), site_h)
             ) / z
             half_gates[a] = bond_gate(h, dtau / 2.0)
-        order = [b for b in bond_list(state)]
-        step_counter = [0]
+        order = bond_list(state)
 
-        def sweep(st):
+        def advance(st, step):
             for b in order + order[::-1]:
                 st, _ = simple_update_bond(
                     st, half_gates[b.axis], b, D_max, schedule.rel_tol
                 )
-            step_counter[0] += 1
-            if schedule.so_every and step_counter[0] % schedule.so_every == 0:
+            if schedule.so_every and step % schedule.so_every == 0:
                 st, _ = superorthogonalize(st, schedule.so_tol, 200)
             return st
 
-    taus, cs = [], []
-    c_start = None
-    n_steps = int(round(schedule.tau_max / dtau))
-    for step in range(n_steps + 1):
-        if step > 0:
-            state = sweep(state)
-        if step % schedule.measure_every == 0:
-            val = expectation_terms_peps(state, comm)
-            if np.isfinite(val) and val != 0.0:
-                c = float(np.log(abs(val)))
-                taus.append(step * dtau)
-                cs.append(c)
-                if c_start is None:
-                    c_start = c
-                elif c - c_start < UNDERFLOW_DROP:
-                    break
     metadata = {
         "model": model.name,
         "scheme": schedule.scheme,
@@ -729,4 +683,7 @@ def run_evolution_peps(
         "so_every": schedule.so_every if schedule.scheme == "gates" else 1,
         **model.params,
     }
-    return GapTrace(np.array(taus), np.array(cs), metadata)
+    return record_trace(
+        state, advance, lambda st: expectation_terms_peps(st, comm),
+        dtau, schedule.tau_max, schedule.measure_every, metadata,
+    )

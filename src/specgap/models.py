@@ -74,9 +74,6 @@ class OperatorTerms:
             if defect > tol * max(1.0, np.max(np.abs(t.matrix))):
                 raise ValueError(f"term on {t.sites} is not Hermitian ({defect:.2e})")
 
-    def max_support(self) -> int:
-        return max(len(t.sites) for t in self.terms)
-
 
 @dataclass(frozen=True)
 class ModelConstants:
@@ -179,15 +176,6 @@ def tfim_chain_model(J: float, g: float) -> Model:
 def haldane_model() -> Model:
     lattice, ham = haldane()
     return Model("haldane", lattice, ham, haldane_gap_operator(), {})
-
-
-def phase_convention(phase: str, coupling: float) -> tuple[float, float]:
-    """(J, g) for the reporting conventions: ferro fixes J=1, para fixes g=1."""
-    if phase == "ferromagnetic":
-        return 1.0, coupling
-    if phase == "paramagnetic":
-        return coupling, 1.0
-    raise ValueError(f"unknown phase {phase!r}")
 
 
 # ---------------------------------------------------------------------------

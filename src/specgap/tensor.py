@@ -1,4 +1,6 @@
-"""Dense labeled-tensor core: contraction and truncated factorization.
+"""Counted dense kernels on plain ndarrays: pairwise einsum and the
+deterministic factorizations (SVD, QR, eigh, PSD square root) with the
+rank cut the truncations share.
 
 Everything here is a pure function of its inputs; values can be shared
 freely across threads.  Scalars are real or complex double precision --
@@ -10,8 +12,6 @@ count, which is what the cost-scaling checks measure.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,7 @@ def einsum2(subscripts: str, *operands: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# deterministic factorization helpers (plain ndarray level)
+# deterministic factorizations
 
 
 def svd_fixed(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -125,163 +125,3 @@ def choose_rank(s: np.ndarray, max_rank: int, rel_tol: float) -> tuple[int, floa
     total = float(np.dot(s, s))
     dropped = float(np.dot(s[rank:], s[rank:]))
     return rank, dropped / total
-
-
-# ---------------------------------------------------------------------------
-# labeled tensors
-
-
-@dataclass(frozen=True)
-class Tensor:
-    """Dense tensor with one unique string label per index.
-
-    Data is row-major over the label order.  All entries must be finite;
-    the constructor enforces this so every public operation hands back a
-    validated value.
-    """
-
-    labels: tuple[str, ...]
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data)
-        labels = tuple(self.labels)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "labels", labels)
-        if data.ndim != len(labels):
-            raise ValueError(
-                f"tensor has {data.ndim} axes but {len(labels)} labels"
-            )
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate index labels: {labels}")
-        if any(n < 1 for n in data.shape):
-            raise ValueError(f"zero-dimensional index in shape {data.shape}")
-        if data.size and not np.all(np.isfinite(data)):
-            raise ValueError("tensor contains non-finite entries")
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def dim(self, label: str) -> int:
-        return self.data.shape[self.labels.index(label)]
-
-    def relabel(self, mapping: dict[str, str]) -> "Tensor":
-        return Tensor(tuple(mapping.get(l, l) for l in self.labels), self.data)
-
-    def transpose_to(self, labels) -> "Tensor":
-        labels = tuple(labels)
-        if set(labels) != set(self.labels):
-            raise ValueError(f"cannot permute {self.labels} to {labels}")
-        perm = [self.labels.index(l) for l in labels]
-        return Tensor(labels, np.transpose(self.data, perm))
-
-    def scaled(self, alpha) -> "Tensor":
-        return Tensor(self.labels, self.data * alpha)
-
-
-@dataclass(frozen=True)
-class BondWeights:
-    """Positive bond weights, sorted descending.
-
-    State-level weights (the lambdas living on tensor-network bonds) are
-    kept at unit Euclidean norm by the evolution routines after every
-    truncation; raw singular spectra returned by ``svd_truncate`` carry
-    their natural scale so that U * diag(s) * V reconstructs the input.
-    """
-
-    values: np.ndarray
-    label: str = "bond"
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("bond weights must be a nonempty vector")
-        if np.any(values <= 0.0):
-            raise ValueError("bond weights must be strictly positive")
-        if np.any(np.diff(values) > 0.0):
-            raise ValueError("bond weights must be sorted descending")
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
-
-    def normalized(self) -> "BondWeights":
-        return BondWeights(self.values / np.linalg.norm(self.values), self.label)
-
-
-def contract(a: Tensor, b: Tensor, pairs) -> Tensor:
-    """Contract two tensors over label pairs.
-
-    Surviving indices keep their labels; result order is a's survivors
-    followed by b's survivors.
-    """
-    pairs = list(pairs)
-    axes_a, axes_b = [], []
-    for la, lb in pairs:
-        if la not in a.labels:
-            raise ValueError(f"label {la!r} not in first tensor {a.labels}")
-        if lb not in b.labels:
-            raise ValueError(f"label {lb!r} not in second tensor {b.labels}")
-        ia, ib = a.labels.index(la), b.labels.index(lb)
-        if a.data.shape[ia] != b.data.shape[ib]:
-            raise ValueError(
-                f"dimension mismatch on ({la!r},{lb!r}): "
-                f"{a.data.shape[ia]} vs {b.data.shape[ib]}"
-            )
-        axes_a.append(ia)
-        axes_b.append(ib)
-    if len(set(axes_a)) != len(axes_a) or len(set(axes_b)) != len(axes_b):
-        raise ValueError("an index may appear in at most one contraction pair")
-    keep_a = [l for i, l in enumerate(a.labels) if i not in axes_a]
-    keep_b = [l for i, l in enumerate(b.labels) if i not in axes_b]
-    out_labels = tuple(keep_a + keep_b)
-    if len(set(out_labels)) != len(out_labels):
-        raise ValueError(f"duplicate labels in contraction result: {out_labels}")
-    free_b = 1.0
-    for i, n in enumerate(b.data.shape):
-        if i not in axes_b:
-            free_b *= n
-    add_work(float(np.prod(a.data.shape, dtype=float)) * free_b)
-    out = np.tensordot(a.data, b.data, axes=(axes_a, axes_b))
-    return Tensor(out_labels, out)
-
-
-def svd_truncate(
-    t: Tensor,
-    left_labels,
-    max_rank: int,
-    rel_tol: float = 0.0,
-    bond_label: str = "bond",
-) -> tuple[Tensor, BondWeights, Tensor, float]:
-    """Truncated SVD of a tensor split by ``left_labels``.
-
-    Returns (U, s, V, discarded_weight) with t ~= U * diag(s) * V, the
-    singular values descending, and a deterministic sign convention
-    (see ``svd_fixed``).  discarded_weight is the squared-weight fraction
-    dropped by the rank cut.
-    """
-    left_labels = tuple(left_labels)
-    if not left_labels or set(left_labels) == set(t.labels):
-        raise ValueError("left_labels must be a nonempty proper subset of labels")
-    for l in left_labels:
-        if l not in t.labels:
-            raise ValueError(f"unknown label {l!r}")
-    if max_rank < 1:
-        raise ValueError("max_rank must be >= 1")
-    if bond_label in t.labels:
-        raise ValueError(f"bond label {bond_label!r} collides with a tensor label")
-    right_labels = tuple(l for l in t.labels if l not in left_labels)
-    perm = t.transpose_to(left_labels + right_labels)
-    ldims = perm.data.shape[: len(left_labels)]
-    rdims = perm.data.shape[len(left_labels):]
-    mat = perm.data.reshape(int(np.prod(ldims)), int(np.prod(rdims)))
-    u, s, vh = svd_fixed(mat)
-    rank, discarded = choose_rank(s, max_rank, rel_tol)
-    if rank == 0:
-        raise ValueError("all-zero tensor: rank 0, nothing to keep")
-    u, s, vh = u[:, :rank], s[:rank], vh[:rank]
-    u_t = Tensor(left_labels + (bond_label,), u.reshape(*ldims, rank))
-    v_t = Tensor((bond_label,) + right_labels, vh.reshape(rank, *rdims))
-    return u_t, BondWeights(s, bond_label), v_t, discarded

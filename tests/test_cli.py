@@ -33,6 +33,13 @@ class TestConfig:
         code = main(["run", "--model", "nonsense", "--outdir", str(tmp_path)])
         assert code == EXIT_USAGE
 
+    def test_invalid_schedule_usage_error(self, tmp_path):
+        # default tau_max (32) below dtau: rejected by the schedule check
+        code = main(["run", "--model", "tfim2d", "--dtau", "40",
+                     "--outdir", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "tfim2d_summary.txt").exists()
+
     def test_scheme_defaults_resolved(self):
         cfg = RunConfig(model="tfim2d", scheme="gates").resolve()
         assert cfg.dtau == 0.05
@@ -95,6 +102,22 @@ class TestRun:
         exact = float(summary["info_exact_gap"])
         assert abs(gap - exact) < 5e-3 * exact
 
+    def test_oracle_random_measure_every(self, tmp_path):
+        base = [
+            "run", "--model", "oracle-random", "--D", "10", "--seed", "3",
+            "--dtau", "0.1", "--tau_max", "40", "--outdir", str(tmp_path),
+        ]
+        main(base + ["--tag", "every1"])
+        main(base + ["--tag", "every2", "--measure_every", "2"])
+        every1 = (tmp_path / "every1_trace.csv").read_text().splitlines()[1:]
+        every2 = (tmp_path / "every2_trace.csv").read_text().splitlines()[1:]
+        assert len(every2) > 50
+        assert every2[:2] == [every1[0], every1[2]]
+        # every second sample of the dense trace, up to the underflow stop
+        assert every2[:-1] == every1[::2][: len(every2) - 1]
+        summary = summary_dict(tmp_path / "every2_summary.txt")
+        assert summary["cfg_measure_every"] == "2"
+
 
 class TestSweep:
     def test_single_point_grid_matches_run(self, tmp_path):
@@ -124,3 +147,33 @@ class TestSweep:
             "--param", "seed", "--values", "1,2",
         ])
         assert code == EXIT_USAGE
+
+    def test_failed_point_becomes_nan_row(self, tmp_path):
+        # dtau 40 exceeds the default tau_max 32: the point is a usage error
+        code = main([
+            "sweep", "--model", "tfim2d", "--outdir", str(tmp_path),
+            "--tag", "bad", "--param", "dtau", "--values", "40",
+        ])
+        assert code == EXIT_USAGE
+        rows = (tmp_path / "bad_sweep.csv").read_text().splitlines()
+        assert rows == ["param,gap,err,quality", "40.0,nan,nan,exit-1"]
+
+    def test_failed_point_ignores_stale_summary(self, tmp_path):
+        stale = tmp_path / "old_dtau40_summary.txt"
+        stale.write_text("gap=1.23\nerr=0.01\nquality=clean\n")
+        code = main([
+            "sweep", "--model", "tfim2d", "--outdir", str(tmp_path),
+            "--tag", "old", "--param", "dtau", "--values", "40",
+        ])
+        assert code == EXIT_USAGE
+        assert not stale.exists()
+        rows = (tmp_path / "old_sweep.csv").read_text().splitlines()
+        assert rows[1] == "40.0,nan,nan,exit-1"
+
+    def test_non_integer_D_usage_error(self, tmp_path):
+        code = main([
+            "sweep", "--model", "tfim2d", "--tau_max", "1", "--outdir",
+            str(tmp_path), "--tag", "dd", "--param", "D", "--values", "2,2.5",
+        ])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "dd_sweep.csv").exists()

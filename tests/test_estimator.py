@@ -11,6 +11,7 @@ from specgap.estimator import (
     estimate_gap,
     fit_gap,
     numerical_derivative,
+    record_trace,
 )
 from specgap.oracle import spectral_decompose, commutator_expectation_exact
 
@@ -164,3 +165,63 @@ class TestTraceValidation:
     def test_finite_required(self):
         with pytest.raises(ValueError):
             GapTrace(np.array([0.0, 1.0]), np.array([0.0, -np.inf]))
+
+
+class TestRecordTrace:
+    """The measure-and-stop loop every evolution driver runs through; the
+    state here is the step count and measure a synthetic amplitude."""
+
+    @staticmethod
+    def run(measure, dtau=0.1, tau_max=1.0, measure_every=1):
+        advanced, measured = [], []
+
+        def advance(st, step):
+            advanced.append(step)
+            return st + 1
+
+        def probe(st):
+            measured.append(st)
+            return measure(st)
+
+        trace = record_trace(
+            0, advance, probe, dtau, tau_max, measure_every, {"tag": "synthetic"}
+        )
+        return trace, advanced, measured
+
+    def test_measure_every_three(self):
+        trace, advanced, measured = self.run(
+            lambda st: np.exp(-0.5 * st), measure_every=3
+        )
+        assert advanced == list(range(1, 11))
+        assert measured == [0, 3, 6, 9]
+        assert np.allclose(trace.taus, [0.0, 0.3, 0.6, 0.9])
+        assert np.array_equal(trace.cs, [-0.5 * k for k in (0, 3, 6, 9)])
+        assert trace.metadata == {"tag": "synthetic"}
+
+    def test_zero_and_nonfinite_values_skipped(self):
+        bad = {2: 0.0, 3: np.nan, 4: np.inf, 5: -np.inf}
+        trace, advanced, _ = self.run(
+            lambda st: bad.get(st, -np.exp(-st)), dtau=1.0, tau_max=8.0
+        )
+        assert advanced == list(range(1, 9))
+        assert np.array_equal(trace.taus, [0.0, 1.0, 6.0, 7.0, 8.0])
+        # negative amplitudes enter through their magnitude
+        assert np.array_equal(trace.cs, [-0.0, -1.0, -6.0, -7.0, -8.0])
+
+    def test_underflow_stop(self):
+        # C = -tau drops below its first sample by ln(1e-14) ~ -32.24 at tau 33
+        trace, advanced, _ = self.run(
+            lambda st: np.exp(-float(st)), dtau=1.0, tau_max=100.0
+        )
+        assert trace.taus[-1] == 33.0
+        assert advanced[-1] == 33
+        assert len(trace) == 34
+
+    def test_underflow_measured_from_first_kept_sample(self):
+        # the zero at step 0 is skipped, so the drop counts from tau = 1
+        trace, _, _ = self.run(
+            lambda st: 0.0 if st == 0 else np.exp(-float(st)),
+            dtau=1.0, tau_max=100.0,
+        )
+        assert trace.taus[0] == 1.0
+        assert trace.taus[-1] == 34.0

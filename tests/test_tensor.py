@@ -1,83 +1,14 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
-from specgap.models import PAULI_X, PAULI_Y, PAULI_Z
-from specgap.tensor import BondWeights, Tensor, contract, svd_truncate
+from specgap.tensor import choose_rank, svd_fixed
 
 
-def brute_contract(a, b, pairs):
-    """Nested-loop contraction oracle for small tensors."""
-    axes_a = [a.labels.index(la) for la, _ in pairs]
-    axes_b = [b.labels.index(lb) for _, lb in pairs]
-    keep_a = [i for i in range(a.data.ndim) if i not in axes_a]
-    keep_b = [i for i in range(b.data.ndim) if i not in axes_b]
-    out_shape = [a.data.shape[i] for i in keep_a] + [b.data.shape[i] for i in keep_b]
-    out = np.zeros(out_shape, dtype=np.result_type(a.data, b.data))
-    for ia in np.ndindex(a.data.shape):
-        for ib in np.ndindex(b.data.shape):
-            if all(ia[axes_a[k]] == ib[axes_b[k]] for k in range(len(pairs))):
-                pos = tuple(ia[i] for i in keep_a) + tuple(ib[i] for i in keep_b)
-                out[pos] += a.data[ia] * b.data[ib]
-    return out
-
-
-class TestContract:
-    def test_identity_times_vector(self):
-        ident = Tensor(("i", "j"), np.eye(2))
-        v = Tensor(("j",), np.array([0.3, -0.7]))
-        out = contract(ident, v, [("j", "j")])
-        assert out.labels == ("i",)
-        assert_allclose(out.data, v.data)
-
-    def test_pauli_product(self):
-        sx = Tensor(("i", "k"), PAULI_X)
-        sy = Tensor(("k", "j"), PAULI_Y)
-        out = contract(sx, sy, [("k", "k")])
-        assert_allclose(out.data, 1j * PAULI_Z, atol=1e-15)
-
-    def test_associativity_vs_brute_force(self):
-        rng = np.random.default_rng(42)
-        for _ in range(5):
-            a = Tensor(("i", "j", "k"), rng.normal(size=(3, 2, 4)))
-            b = Tensor(("k", "l", "m"), rng.normal(size=(4, 3, 2)))
-            c = Tensor(("m", "n"), rng.normal(size=(2, 3)))
-            ab = contract(a, b, [("k", "k")])
-            left = contract(ab, c, [("m", "m")])
-            bc = contract(b, c, [("m", "m")])
-            right = contract(a, bc, [("k", "k")])
-            assert_allclose(left.data, right.data, atol=1e-12)
-            ref = brute_contract(ab, c, [("m", "m")])
-            assert_allclose(left.data, ref, atol=1e-12)
-
-    def test_bilinearity(self):
-        rng = np.random.default_rng(3)
-        a = Tensor(("i", "k"), rng.normal(size=(3, 4)))
-        b = Tensor(("k", "j"), rng.normal(size=(4, 2)))
-        alpha = -1.7
-        lhs = contract(a.scaled(alpha), b, [("k", "k")])
-        rhs = contract(a, b, [("k", "k")]).scaled(alpha)
-        assert_allclose(lhs.data, rhs.data, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        a = Tensor(("i", "k"), np.ones((2, 3)))
-        b = Tensor(("k", "j"), np.ones((4, 2)))
-        with pytest.raises(ValueError, match="mismatch"):
-            contract(a, b, [("k", "k")])
-
-    def test_duplicate_result_label(self):
-        a = Tensor(("i", "k"), np.ones((2, 3)))
-        b = Tensor(("k", "i"), np.ones((3, 2)))
-        with pytest.raises(ValueError, match="duplicate"):
-            contract(a, b, [("k", "k")])
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            Tensor(("i",), np.array([1.0, np.inf]))
-
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            Tensor(("i", "i"), np.ones((2, 2)))
+def truncated_svd(mat, max_rank, rel_tol=0.0):
+    """svd_fixed followed by the choose_rank cut, as the bond updates do."""
+    u, s, vh = svd_fixed(mat)
+    rank, discarded = choose_rank(s, max_rank, rel_tol)
+    return u[:, :rank], s[:rank], vh[:rank], discarded
 
 
 class TestSvdTruncate:
@@ -85,84 +16,66 @@ class TestSvdTruncate:
         rng = np.random.default_rng(0)
         u = rng.normal(size=4) + 1j * rng.normal(size=4)
         v = rng.normal(size=5) + 1j * rng.normal(size=5)
-        t = Tensor(("a", "b"), np.outer(u, np.conj(v)))
-        left, s, right, disc = svd_truncate(t, ("a",), max_rank=4, rel_tol=1e-12)
-        assert s.dim == 1
+        _, s, _, disc = truncated_svd(np.outer(u, np.conj(v)), 4, rel_tol=1e-12)
+        assert s.size == 1
         assert disc == pytest.approx(0.0, abs=1e-24)
 
     def test_identity_half_rank(self):
-        t = Tensor(("a", "b"), np.eye(4))
-        left, s, right, disc = svd_truncate(t, ("a",), max_rank=2)
-        assert s.dim == 2
+        _, s, _, disc = truncated_svd(np.eye(4), 2)
+        assert s.size == 2
         assert disc == pytest.approx(0.5, abs=1e-14)
 
     def test_full_rank_reconstruction(self):
         rng = np.random.default_rng(7)
         mat = rng.normal(size=(6, 6))
-        t = Tensor(("a", "b"), mat)
-        left, s, right, _ = svd_truncate(t, ("a",), max_rank=6)
-        rec = left.data @ np.diag(s.values) @ right.data
+        u, s, vh, _ = truncated_svd(mat, 6)
+        rec = u @ np.diag(s) @ vh
         assert np.linalg.norm(rec - mat) < 1e-12
 
     def test_multi_index_split_reconstruction(self):
+        # split (a, c | b, d) of a four-index tensor, as the bond updates do
         rng = np.random.default_rng(9)
-        t = Tensor(("a", "b", "c", "d"), rng.normal(size=(2, 3, 4, 2)))
-        left, s, right, _ = svd_truncate(t, ("a", "c"), max_rank=64)
+        t = rng.normal(size=(2, 3, 4, 2))
+        mat = np.transpose(t, (0, 2, 1, 3)).reshape(2 * 4, 3 * 2)
+        u, s, vh, _ = truncated_svd(mat, 64)
         rec = np.einsum(
-            "acx,x,xbd->abcd", left.data, s.values, right.data
+            "acx,x,xbd->abcd", u.reshape(2, 4, -1), s, vh.reshape(-1, 3, 2)
         )
-        assert np.max(np.abs(rec - t.data)) < 1e-10 * np.max(np.abs(t.data))
+        assert np.max(np.abs(rec - t)) < 1e-10 * np.max(np.abs(t))
 
     def test_truncation_optimality(self):
         # best rank-2 Frobenius error from an eigen-decomposition oracle
         rng = np.random.default_rng(11)
         for _ in range(5):
             mat = rng.normal(size=(4, 4))
-            t = Tensor(("a", "b"), mat)
-            _, s, _, disc = svd_truncate(t, ("a",), max_rank=2)
+            u, s, vh, disc = truncated_svd(mat, 2)
             w = np.linalg.eigvalsh(mat.T @ mat)  # squared singular values
             best = np.sum(np.sort(w)[:2])
             got = disc * np.sum(w)
             assert abs(got - best) < 1e-10
+            err = np.linalg.norm(mat - u @ np.diag(s) @ vh) ** 2
+            assert abs(err - best) < 1e-10
 
     def test_all_zero_reports_rank_zero(self):
-        t = Tensor(("a", "b"), np.zeros((3, 3)))
-        with pytest.raises(ValueError, match="rank 0"):
-            svd_truncate(t, ("a",), max_rank=2)
+        _, s, _ = svd_fixed(np.zeros((3, 3)))
+        assert choose_rank(s, 2, 0.0) == (0, 1.0)
+        assert choose_rank(np.zeros(0), 2, 0.0) == (0, 1.0)
 
     def test_degenerate_boundary_keeps_exactly_max_rank(self):
-        t = Tensor(("a", "b"), np.eye(4))
-        _, s, _, _ = svd_truncate(t, ("a",), max_rank=3)
-        assert s.dim == 3
+        _, s, _, disc = truncated_svd(np.eye(4), 3)
+        assert s.size == 3
+        assert disc == pytest.approx(0.25, abs=1e-14)
 
     def test_deterministic_sign_convention(self):
         rng = np.random.default_rng(5)
         mat = rng.normal(size=(5, 5))
-        t = Tensor(("a", "b"), mat)
-        u1, s1, v1, _ = svd_truncate(t, ("a",), max_rank=5)
-        u2, s2, v2, _ = svd_truncate(Tensor(("a", "b"), mat.copy()), ("a",), 5)
-        assert np.array_equal(u1.data, u2.data)
-        assert np.array_equal(v1.data, v2.data)
+        u1, s1, v1 = svd_fixed(mat)
+        u2, s2, v2 = svd_fixed(mat.copy())
+        assert np.array_equal(u1, u2)
+        assert np.array_equal(v1, v2)
         # largest-magnitude entry of each left singular vector is positive
-        piv = np.argmax(np.abs(u1.data), axis=0)
-        lead = u1.data[piv, np.arange(u1.data.shape[1])]
+        piv = np.argmax(np.abs(u1), axis=0)
+        lead = u1[piv, np.arange(u1.shape[1])]
         assert np.all(np.real(lead) > 0)
-
-    def test_left_labels_must_be_proper_subset(self):
-        t = Tensor(("a", "b"), np.eye(2))
-        with pytest.raises(ValueError):
-            svd_truncate(t, ("a", "b"), max_rank=2)
-        with pytest.raises(ValueError):
-            svd_truncate(t, (), max_rank=2)
-
-
-class TestBondWeights:
-    def test_positive_descending_enforced(self):
-        with pytest.raises(ValueError):
-            BondWeights(np.array([0.5, 0.7]))
-        with pytest.raises(ValueError):
-            BondWeights(np.array([0.5, 0.0]))
-
-    def test_normalized(self):
-        s = BondWeights(np.array([3.0, 4.0])[::-1].copy())
-        assert np.linalg.norm(s.normalized().values) == pytest.approx(1.0)
+        # the sign fix leaves the factorization exact
+        assert np.linalg.norm(u1 @ np.diag(s1) @ v1 - mat) < 1e-12
