@@ -109,20 +109,21 @@ def _coerce(cfg_kwargs: dict) -> dict:
 
 
 def _format(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    """Floats (numpy scalars included) as the shortest round-trip repr."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 
 def write_trace_csv(path: Path, trace: GapTrace) -> None:
     lines = ["tau,C"]
-    lines += [f"{t!r},{c!r}" for t, c in zip(trace.taus, trace.cs)]
+    lines += [f"{_format(t)},{_format(c)}" for t, c in zip(trace.taus, trace.cs)]
     path.write_text("\n".join(lines) + "\n")
 
 
 def write_derivative_csv(path: Path, taus_d, deriv) -> None:
     lines = ["tau,dCdtau"]
-    lines += [f"{t!r},{d!r}" for t, d in zip(taus_d, deriv)]
+    lines += [f"{_format(t)},{_format(d)}" for t, d in zip(taus_d, deriv)]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -118,6 +118,23 @@ class TestRun:
         summary = summary_dict(tmp_path / "every2_summary.txt")
         assert summary["cfg_measure_every"] == "2"
 
+    def test_csv_rows_parse_as_floats(self, tmp_path):
+        code = main([
+            "run", "--model", "oracle-random", "--D", "10", "--seed", "3",
+            "--dtau", "0.1", "--tau_max", "40",
+            "--outdir", str(tmp_path), "--tag", "csv",
+        ])
+        assert code == EXIT_OK
+        for name, header in (("csv_trace.csv", "tau,C"),
+                             ("csv_deriv.csv", "tau,dCdtau")):
+            lines = (tmp_path / name).read_text().splitlines()
+            assert lines[0] == header
+            rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+            assert len(rows) > 50
+            assert all(len(row) == 2 for row in rows)
+            taus = [row[0] for row in rows]
+            assert taus == sorted(taus)
+
 
 class TestSweep:
     def test_single_point_grid_matches_run(self, tmp_path):

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from specgap.estimator import fit_gap
+from specgap import imps
+from specgap.estimator import estimate_gap, fit_gap
 from specgap.imps import (
     EvolutionSchedule,
     IMpsState,
@@ -27,6 +30,7 @@ from specgap.models import (
     haldane_model,
     tfim_chain_model,
 )
+from specgap.tensor import work_count
 
 
 def positive_product_state(local_dim, seed):
@@ -175,6 +179,19 @@ class TestExpectation:
             expectation_terms_imps(st, skip)
 
 
+@pytest.fixture(scope="module")
+def swept_chain():
+    """The J=0.8, g=1, D=32 chain at tau=3, then one Trotter sweep of bond
+    updates without re-canonicalizing."""
+    m = tfim_chain_model(0.8, 1.0)
+    st = final_state_1d(m, EvolutionSchedule(dtau=0.05, tau_max=3.0, D_max=32), 32, seed=2)
+    h = collect_bond_hamiltonian(m.hamiltonian, 2)
+    st, _ = tebd_step(st, bond_gate(h, 0.025), 0, 32)
+    st, _ = tebd_step(st, bond_gate(h, 0.05), 1, 32)
+    st, _ = tebd_step(st, bond_gate(h, 0.025), 0, 32)
+    return st
+
+
 class TestCanonicalForm:
     def test_recanonicalize_reaches_gauge(self):
         m = haldane_model()
@@ -196,6 +213,56 @@ class TestCanonicalForm:
         again = recanonicalize(st, tol=1e-8)
         for b in (0, 1):
             assert np.max(np.abs(again.lams[b] - st.lams[b])) < 1e-8
+
+    def test_one_call_reaches_gauge_where_sweeps_stall(self, swept_chain):
+        # bond weights down to ~1e-14 make this gauge badly conditioned
+        assert canonical_defect(swept_chain) > 1e-3
+        assert canonical_defect(recanonicalize(swept_chain)) <= 1e-6
+
+    def test_second_call_moves_nothing_and_repeats(self, swept_chain):
+        fixed = recanonicalize(swept_chain)
+        again = recanonicalize(fixed)
+        twice = recanonicalize(fixed)
+        for b in (0, 1):
+            assert again.lams[b].shape == fixed.lams[b].shape
+            assert np.max(np.abs(again.lams[b] - fixed.lams[b])) < 1e-12
+            assert np.array_equal(again.lams[b], twice.lams[b])
+            assert np.array_equal(again.gammas[b], twice.gammas[b])
+
+    def test_fixed_point_matvecs_counted(self, swept_chain, monkeypatch):
+        per_call = []
+        solve = imps._fixed_point
+
+        def counting(apply, dim, tol):
+            def counted(v):
+                start = work_count()
+                out = apply(v)
+                per_call.append(work_count() - start)
+                return out
+            return solve(counted, dim, tol)
+
+        monkeypatch.setattr(imps, "_fixed_point", counting)
+        start = work_count()
+        recanonicalize(swept_chain)
+        total = work_count() - start
+        dl, d = swept_chain.lams[1].size, swept_chain.local_dim
+        assert len(per_call) >= 2
+        assert set(per_call) == {2.0 * dl**3 * d * d}
+        assert total > sum(per_call)
+
+    def test_unconverged_fixed_point_warns(self, swept_chain, monkeypatch):
+        monkeypatch.setattr(imps, "FIXED_POINT_MAX_ITER", 1)
+        with pytest.warns(RuntimeWarning, match="canonical fixed point unconverged"):
+            recanonicalize(swept_chain)
+
+    def test_d32_chain_run_converges_silently(self):
+        m = tfim_chain_model(0.8, 1.0)
+        sch = EvolutionSchedule(dtau=0.05, tau_max=25.0, D_max=32, seed=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tr = run_evolution_1d(m, sch, D_max=32, seed=2)
+        assert not [w for w in caught if "canonical fixed point" in str(w.message)]
+        assert estimate_gap(tr).gap == pytest.approx(0.4, rel=1e-2)
 
     def test_pair_defect_metric(self):
         assert pair_degeneracy_defect(np.array([0.6, 0.6, 0.38, 0.38])) < 1e-15
