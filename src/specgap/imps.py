@@ -296,6 +296,10 @@ class EvolutionSchedule:
             raise ValueError("measure_every must be >= 1")
         if self.scheme not in ("gates", "mpo"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        # the gauge fix stops on residual <= so_tol: a non-positive (or NaN)
+        # tolerance is never met, so every message fixed point runs to its cap
+        if not self.so_tol > 0:
+            raise ValueError("so_tol must be positive")
 
 
 def collect_bond_hamiltonian(terms: OperatorTerms, z: int) -> np.ndarray:

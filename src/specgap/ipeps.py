@@ -13,10 +13,16 @@ inequivalent bond.  Two evolution schemes are provided:
 Expectation values close every dangling bond with its weights (mean-field
 environment); in the superorthogonal gauge that closure is the bond-local
 reduced operator diag(lambda^2).
+
+The gauge fix spends its time on bond environments, contractions of a site
+tensor over every leg but one.  Their leg kernels are transpose-free: a
+tensor is read in place as (outer, leg, inner) blocks and multiplied as a
+stack of matrices, so no operand is copied into another axis order.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -132,21 +138,38 @@ def _scaled_tensor(
     return t
 
 
+def _leg_pair(bra: np.ndarray, ket: np.ndarray, leg: int) -> np.ndarray:
+    """N[b, b'] = sum over every axis but ``leg`` of bra[..b..] ket[..b'..].
+
+    The stack of (outer, leg, inner) block products runs over whichever
+    of outer and inner is smaller.
+    """
+    add_work(float(ket.size) * ket.shape[leg])
+    outer = math.prod(bra.shape[:leg])
+    b3 = bra.reshape(outer, bra.shape[leg], -1)
+    k3 = ket.reshape(outer, ket.shape[leg], -1)
+    if outer <= b3.shape[2]:
+        return np.matmul(b3, k3.transpose(0, 2, 1)).sum(axis=0)
+    return np.matmul(b3.transpose(2, 1, 0), k3.transpose(2, 0, 1)).sum(axis=0)
+
+
 def _gram(state: IPepsState, site: int, leg: int) -> np.ndarray:
     """Mean-field bond environment N[b,b'] of (site, leg): all other legs
     closed with their squared weights, physical index summed."""
     t = _scaled_tensor(state, site, skip_leg=leg)
-    m = np.moveaxis(t, leg, -1).reshape(-1, t.shape[leg])
-    add_work(float(m.shape[0]) * m.shape[1] ** 2)
-    return m.conj().T @ m
+    return _leg_pair(t.conj(), t, leg)
 
 
 def _apply_on_leg(t: np.ndarray, leg: int, g: np.ndarray) -> np.ndarray:
-    """Contract the old leg index with the first index of g."""
-    moved = np.moveaxis(t, leg, -1)
-    add_work(float(moved.size) * g.shape[1])
-    out = moved @ g
-    return np.moveaxis(out, -1, leg)
+    """Contract the old leg index with the first index of g, which takes
+    the leg's place: g.T times every (outer, leg, inner) block of t."""
+    add_work(float(t.size) * g.shape[1])
+    shape = t.shape
+    if leg == t.ndim - 1:
+        out = t.reshape(-1, shape[leg]) @ g
+    else:
+        out = g.T @ t.reshape(math.prod(shape[:leg]), shape[leg], -1)
+    return out.reshape(shape[:leg] + (g.shape[1],) + shape[leg + 1:])
 
 
 def _all_grams(state: IPepsState) -> dict[tuple[int, int], np.ndarray]:
@@ -202,50 +225,16 @@ class SuperorthResult:
     converged: bool
 
 
-_GRAM_PLANS: dict = {}
-
-
-def _gram_plan(ndim: int, leg: int, closure_legs: tuple[int, ...]):
-    """Cached tensordot plan for a dressed bond environment.
-
-    Closures are applied in descending leg order (tensordot appends the
-    fresh axis at the end, so lower axes keep their positions); the plan
-    records where every original axis lands for the final pair contraction.
-    """
-    key = (ndim, leg, closure_legs)
-    plan = _GRAM_PLANS.get(key)
-    if plan is None:
-        legs_desc = tuple(sorted(closure_legs, reverse=True))
-        untouched = [a for a in range(ndim) if a not in closure_legs]
-        bra_axes, ket_axes = [], []
-        for a in range(ndim):
-            if a == leg:
-                continue
-            bra_axes.append(a)
-            if a in closure_legs:
-                ket_axes.append(len(untouched) + legs_desc.index(a))
-            else:
-                ket_axes.append(untouched.index(a))
-        plan = (legs_desc, bra_axes, ket_axes)
-        _GRAM_PLANS[key] = plan
-    return plan
-
-
 def _dressed_gram(
     st: IPepsState, site: int, leg: int, closures: dict[int, np.ndarray]
 ) -> np.ndarray:
     """Bond environment of (site, leg) with each other leg closed by the
     given ket-bra matrix (weight-dressed incoming message)."""
     t0 = st.tensors[site]
-    legs_desc, bra_axes, ket_axes = _gram_plan(
-        t0.ndim, leg, tuple(sorted(closures))
-    )
     t = t0
-    for l in legs_desc:
-        t = np.tensordot(t, closures[l], axes=([l], [0]))
-    n = np.tensordot(np.conj(t0), t, axes=(bra_axes, ket_axes))
-    add_work(float(t0.size) * (sum(w.shape[0] for w in closures.values())
-                               + t0.shape[leg]))
+    for l, w in closures.items():
+        t = _apply_on_leg(t, l, w)
+    n = _leg_pair(t0.conj(), t, leg)
     return 0.5 * (n + n.conj().T)
 
 
@@ -254,8 +243,12 @@ def _bond_closure(st: IPepsState, site: int, leg: int, msg: np.ndarray) -> np.nd
     return lam[:, None] * msg * lam[None, :]
 
 
+# cap on the Gauss-Seidel sweeps of one message fixed point
+MESSAGE_MAX_SWEEPS = 500
+
+
 def _message_fixed_point(
-    st: IPepsState, tol: float, max_sweeps: int
+    st: IPepsState, tol: float
 ) -> dict[tuple[int, int], np.ndarray]:
     """Outgoing bond environments out[(site, leg)] solved self-consistently.
 
@@ -263,7 +256,8 @@ def _message_fixed_point(
     other leg of i is closed with the weight-dressed message coming in
     from its own neighbor.  Identity messages (the plain weight-squared
     closure) are the starting point; at the gauge fixed point the solution
-    is the identity again.  Messages are trace-normalized.
+    is the identity again.  Messages are trace-normalized.  Hitting
+    ``MESSAGE_MAX_SWEEPS`` warns and returns the last sweep's messages.
     """
     bonds = bond_list(st)
     opposite: dict[tuple[int, int], tuple[int, int]] = {}
@@ -271,7 +265,7 @@ def _message_fixed_point(
         opposite[(b.i_site, b.i_leg)] = (b.j_site, b.j_leg)
         opposite[(b.j_site, b.j_leg)] = (b.i_site, b.i_leg)
     out = {end: np.eye(st.lams[lam_key(st, *end)].size) for end in opposite}
-    for _ in range(max_sweeps):
+    for _ in range(MESSAGE_MAX_SWEEPS):
         delta = 0.0
         for end in out:
             site, leg = end
@@ -289,7 +283,13 @@ def _message_fixed_point(
             delta = max(delta, float(np.max(np.abs(fresh - out[end]))))
             out[end] = fresh
         if delta <= tol:
-            break
+            return out
+    warnings.warn(
+        f"message fixed point unconverged after {MESSAGE_MAX_SWEEPS} sweeps "
+        f"(last change {delta:.1e})",
+        RuntimeWarning,
+        stacklevel=3,
+    )
     return out
 
 
@@ -317,7 +317,7 @@ def superorthogonalize(
     for it in range(max_iter):
         if residual <= so_tol:
             break
-        msgs = _message_fixed_point(st, tol=min(so_tol, 1e-10), max_sweeps=500)
+        msgs = _message_fixed_point(st, tol=min(so_tol, 1e-10))
         for b in bond_list(st):
             lam = st.lams[b.key]
             n_i = msgs[(b.i_site, b.i_leg)]

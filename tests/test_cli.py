@@ -40,6 +40,12 @@ class TestConfig:
         assert code == EXIT_USAGE
         assert not (tmp_path / "tfim2d_summary.txt").exists()
 
+    def test_nonpositive_so_tol_usage_error(self, tmp_path):
+        code = main(["run", "--model", "tfim2d", "--so_tol", "0",
+                     "--tau_max", "0.4", "--D", "2", "--outdir", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "tfim2d_summary.txt").exists()
+
     def test_scheme_defaults_resolved(self):
         cfg = RunConfig(model="tfim2d", scheme="gates").resolve()
         assert cfg.dtau == 0.05

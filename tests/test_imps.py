@@ -269,6 +269,13 @@ class TestCanonicalForm:
         assert pair_degeneracy_defect(np.array([0.7, 0.5, 0.4, 0.3])) > 0.1
 
 
+class TestSchedule:
+    @pytest.mark.parametrize("so_tol", [0.0, -1.0, float("nan")])
+    def test_nonpositive_so_tol_rejected(self, so_tol):
+        with pytest.raises(ValueError, match="so_tol"):
+            EvolutionSchedule(dtau=0.2, tau_max=0.4, scheme="mpo", so_tol=so_tol)
+
+
 class TestRunEvolution:
     def test_trace_metadata_and_determinism(self):
         m = tfim_chain_model(0.3, 1.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from specgap import ipeps
 from specgap.estimator import fit_gap
 from specgap.imps import EvolutionSchedule
 from specgap.ipeps import (
@@ -24,6 +25,7 @@ from specgap.models import (
     terms_to_dense,
     tfim_model,
 )
+from specgap.tensor import work_count
 from specgap.wii import Mpo, build_wii, hamiltonian_line_mpo
 
 OX = OperatorTerms([LocalTerm(((0, 0),), PAULI_X)], 2)
@@ -51,6 +53,102 @@ def random_d2_state(seed):
         lam = np.sort(rng.uniform(0.4, 1.0, 2))[::-1]
         st.lams[k] = lam / np.linalg.norm(lam)
     return st
+
+
+def random_array(rng, shape, dtype):
+    out = rng.normal(size=shape)
+    return out + 1j * rng.normal(size=shape) if dtype is complex else out
+
+
+def kernel_state(shape, seed, dtype):
+    """Single-site state holding a random tensor of ``shape`` and random
+    positive weights on every bond."""
+    rng = np.random.default_rng(seed)
+    st = random_product_ipeps(hypercubic((len(shape) - 1) // 2), seed)
+    st.tensors[0] = random_array(rng, shape, dtype)
+    for a in st.lams:
+        st.lams[a] = rng.uniform(0.2, 1.0, shape[1 + 2 * a])
+    return st
+
+
+def brute_dressed_gram(t, leg, closures):
+    """einsum reference: every leg but ``leg`` closed ket-bra by its
+    closure (old ket index first), physical index summed, hermitized."""
+    lower = "pabcdefgh"[: t.ndim]
+    bra = lower[:leg] + "X" + lower[leg + 1:]
+    ket = "".join(
+        "Y" if i == leg else (c.upper() if i in closures else c)
+        for i, c in enumerate(lower)
+    )
+    subs = [bra, ket] + [lower[l].upper() + lower[l] for l in closures]
+    n = np.einsum(",".join(subs) + "->XY", np.conj(t), t, *closures.values())
+    return 0.5 * (n + n.conj().T)
+
+
+def rel_err(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+# a 2D tensor with one enlarged axis, a 3D tensor, a complex 2D tensor;
+# only the complex case tells a closure from its transpose, which the
+# hermitization hides for real input
+KERNEL_CASES = pytest.mark.parametrize(
+    "shape,dtype",
+    [((2, 6, 6, 4, 4), float), ((2, 3, 3, 2, 2, 2, 2), float),
+     ((2, 3, 3, 5, 5), complex)],
+    ids=["2d-enlarged", "3d", "complex"],
+)
+
+
+class TestLegKernels:
+    """Bond-environment kernels against brute-force einsum on every
+    virtual leg, with their multiply-add counts."""
+
+    @KERNEL_CASES
+    def test_apply_on_leg(self, shape, dtype):
+        t = kernel_state(shape, 3, dtype).tensors[0]
+        rng = np.random.default_rng(4)
+        lower = "pabcdefgh"[: t.ndim]
+        for leg in range(1, t.ndim):
+            g = random_array(rng, (t.shape[leg], t.shape[leg] + 1), dtype)
+            before = work_count()
+            got = ipeps._apply_on_leg(t, leg, g)
+            assert work_count() - before == t.size * g.shape[1]
+            out = lower[:leg] + "Z" + lower[leg + 1:]
+            ref = np.einsum(f"{lower},{lower[leg]}Z->{out}", t, g)
+            assert got.flags.c_contiguous
+            assert rel_err(got, ref) <= 1e-12
+
+    @KERNEL_CASES
+    def test_dressed_gram(self, shape, dtype):
+        st = kernel_state(shape, 5, dtype)
+        t = st.tensors[0]
+        rng = np.random.default_rng(6)
+        for leg in range(1, t.ndim):
+            closures = {
+                l: random_array(rng, (t.shape[l],) * 2, dtype)
+                for l in range(1, t.ndim) if l != leg
+            }
+            before = work_count()
+            got = ipeps._dressed_gram(st, 0, leg, closures)
+            n_sum = sum(t.shape[l] for l in closures)
+            assert work_count() - before == t.size * n_sum + t.size * t.shape[leg]
+            assert rel_err(got, brute_dressed_gram(t, leg, closures)) <= 1e-12
+
+    @KERNEL_CASES
+    def test_gram(self, shape, dtype):
+        st = kernel_state(shape, 7, dtype)
+        t = st.tensors[0]
+        for leg in range(1, t.ndim):
+            # the weight-squared closure of every other leg
+            closures = {
+                l: np.diag(st.lams[(l - 1) // 2] ** 2)
+                for l in range(1, t.ndim) if l != leg
+            }
+            before = work_count()
+            got = ipeps._gram(st, 0, leg)
+            assert work_count() - before == t.size * t.shape[leg]
+            assert rel_err(got, brute_dressed_gram(t, leg, closures)) <= 1e-12
 
 
 class TestStateConstruction:
@@ -150,6 +248,11 @@ class TestSuperorthogonalize:
         st = random_d2_state(1)
         _, info = superorthogonalize(st, so_tol=1e-10)
         assert info.converged and info.residual <= 1e-10
+
+    def test_unconverged_messages_warn(self, monkeypatch):
+        monkeypatch.setattr(ipeps, "MESSAGE_MAX_SWEEPS", 1)
+        with pytest.warns(RuntimeWarning, match="message fixed point unconverged"):
+            ipeps._message_fixed_point(random_d2_state(1), tol=1e-10)
 
     def test_gauge_scramble_and_restore(self):
         base, _ = superorthogonalize(random_d2_state(2), so_tol=1e-12)
