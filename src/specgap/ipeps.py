@@ -17,7 +17,15 @@ reduced operator diag(lambda^2).
 The gauge fix spends its time on bond environments, contractions of a site
 tensor over every leg but one.  Their leg kernels are transpose-free: a
 tensor is read in place as (outer, leg, inner) blocks and multiplied as a
-stack of matrices, so no operand is copied into another axis order.
+stack of matrices, so no operand is copied into another axis order.  The
+environments of one axis share the closures of every other axis, so those
+are applied to each site once per axis and reused for both ends.
+
+The bond environments are the fixed point of a Gauss-Seidel message
+sweep (belief propagation).  That sweep converges linearly, so near the
+fixed point its iterates are Anderson-mixed (Walker & Ni, SIAM J. Numer.
+Anal. 49, 1715 (2011)) over the last ``MESSAGE_ANDERSON_DEPTH`` sweeps; a
+mix that is not a usable set of messages falls back to the plain sweep.
 """
 
 from __future__ import annotations
@@ -122,20 +130,71 @@ def random_product_ipeps(lattice: LatticeSpec, seed: int) -> IPepsState:
     return state
 
 
+def _leg_weights(state: IPepsState) -> dict[tuple[int, int], np.ndarray]:
+    """Bond weights of every (site, leg)."""
+    return {
+        (site, leg): state.lams[lam_key(state, site, leg)]
+        for site, t in enumerate(state.tensors)
+        for leg in range(1, t.ndim)
+    }
+
+
+def _axis_ends(state: IPepsState) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """Bond ends grouped by axis, in bond order: (axis, [(site, leg,
+    partner)]) with ``partner`` the other leg of the axis on that site."""
+    blocks: list[tuple[int, list]] = []
+    for b in bond_list(state):
+        if not blocks or blocks[-1][0] != b.axis:
+            blocks.append((b.axis, []))
+        blocks[-1][1].append((b.i_site, b.i_leg, b.i_leg + 1))
+        blocks[-1][1].append((b.j_site, b.j_leg, b.j_leg - 1))
+    return blocks
+
+
+def _close_legs(
+    t: np.ndarray, closures: dict[int, np.ndarray], bufs=None
+) -> np.ndarray:
+    """Close each listed leg in turn: a weight vector scales the leg, a
+    matrix is contracted with it (old index first).  With ``bufs``, two
+    arrays shaped like t, the steps write into them alternately, so an
+    even number of closures leaves the result in ``bufs[1]``."""
+    for i, (leg, c) in enumerate(closures.items()):
+        buf = None if bufs is None else bufs[i % 2]
+        if c.ndim == 1:
+            shape = [1] * t.ndim
+            shape[leg] = c.size
+            t = np.multiply(t, c.reshape(shape), out=buf)
+        else:
+            t = _apply_on_leg(t, leg, c, buf)
+    return t
+
+
+def _axis_shared(
+    state: IPepsState, axis: int, closure, bufs=None
+) -> list[np.ndarray]:
+    """Every site tensor with each virtual leg off ``axis`` closed by
+    ``closure(site, leg)``: the part of a bond environment that both ends
+    of the axis on that site share.  The legs off an axis come in pairs,
+    so with per-site buffer pairs ``bufs`` the result is ``bufs[site][1]``."""
+    return [
+        _close_legs(t, {
+            leg: closure(site, leg)
+            for leg in range(1, t.ndim) if (leg - 1) // 2 != axis
+        }, None if bufs is None else bufs[site])
+        for site, t in enumerate(state.tensors)
+    ]
+
+
 def _scaled_tensor(
     state: IPepsState, site: int, skip_leg: int | None = None
 ) -> np.ndarray:
     """Site tensor with the full bond weight absorbed on every leg
     except ``skip_leg``."""
     t = state.tensors[site]
-    for leg in range(1, t.ndim):
-        if leg == skip_leg:
-            continue
-        lam = state.lams[lam_key(state, site, leg)]
-        shape = [1] * t.ndim
-        shape[leg] = lam.size
-        t = t * lam.reshape(shape)
-    return t
+    return _close_legs(t, {
+        leg: state.lams[lam_key(state, site, leg)]
+        for leg in range(1, t.ndim) if leg != skip_leg
+    })
 
 
 def _leg_pair(bra: np.ndarray, ket: np.ndarray, leg: int) -> np.ndarray:
@@ -160,23 +219,37 @@ def _gram(state: IPepsState, site: int, leg: int) -> np.ndarray:
     return _leg_pair(t.conj(), t, leg)
 
 
-def _apply_on_leg(t: np.ndarray, leg: int, g: np.ndarray) -> np.ndarray:
+def _apply_on_leg(
+    t: np.ndarray, leg: int, g: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Contract the old leg index with the first index of g, which takes
-    the leg's place: g.T times every (outer, leg, inner) block of t."""
+    the leg's place: g.T times every (outer, leg, inner) block of t.
+    Writes into ``out`` (C-contiguous, of the result's shape) if given."""
     add_work(float(t.size) * g.shape[1])
     shape = t.shape
+    if out is None:
+        out = np.empty(shape[:leg] + (g.shape[1],) + shape[leg + 1:],
+                       dtype=np.result_type(t, g))
     if leg == t.ndim - 1:
-        out = t.reshape(-1, shape[leg]) @ g
+        np.matmul(t.reshape(-1, shape[leg]), g, out=out.reshape(-1, g.shape[1]))
     else:
-        out = g.T @ t.reshape(math.prod(shape[:leg]), shape[leg], -1)
-    return out.reshape(shape[:leg] + (g.shape[1],) + shape[leg + 1:])
+        outer = math.prod(shape[:leg])
+        np.matmul(g.T, t.reshape(outer, shape[leg], -1),
+                  out=out.reshape(outer, g.shape[1], -1))
+    return out
 
 
 def _all_grams(state: IPepsState) -> dict[tuple[int, int], np.ndarray]:
+    """``_gram`` of every bond end, in bond order; the other axes' weights
+    are absorbed once per (site, axis), the partner leg's per end."""
+    lam = _leg_weights(state)
+    bufs = [(np.empty_like(t), np.empty_like(t)) for t in state.tensors]
     grams = {}
-    for b in bond_list(state):
-        for site, leg in ((b.i_site, b.i_leg), (b.j_site, b.j_leg)):
-            grams[(site, leg)] = _gram(state, site, leg)
+    for axis, ends in _axis_ends(state):
+        shared = _axis_shared(state, axis, lambda site, leg: lam[(site, leg)], bufs)
+        for site, leg, partner in ends:
+            t = _close_legs(shared[site], {partner: lam[(site, partner)]}, bufs[site])
+            grams[(site, leg)] = _leg_pair(t.conj(), t, leg)
     return grams
 
 
@@ -220,9 +293,19 @@ def _rescale_sites(state: IPepsState, grams) -> None:
 
 @dataclass
 class SuperorthResult:
+    """``iterations`` counts gauge-fix passes, ``sweeps`` the message
+    sweeps summed over all of them."""
+
     residual: float
     iterations: int
     converged: bool
+    sweeps: int = 0
+
+
+def _hermitian_pair(bra: np.ndarray, ket: np.ndarray, leg: int) -> np.ndarray:
+    """``_leg_pair`` made exactly Hermitian."""
+    n = _leg_pair(bra, ket, leg)
+    return 0.5 * (n + n.conj().T)
 
 
 def _dressed_gram(
@@ -231,66 +314,131 @@ def _dressed_gram(
     """Bond environment of (site, leg) with each other leg closed by the
     given ket-bra matrix (weight-dressed incoming message)."""
     t0 = st.tensors[site]
-    t = t0
-    for l, w in closures.items():
-        t = _apply_on_leg(t, l, w)
-    n = _leg_pair(t0.conj(), t, leg)
-    return 0.5 * (n + n.conj().T)
-
-
-def _bond_closure(st: IPepsState, site: int, leg: int, msg: np.ndarray) -> np.ndarray:
-    lam = st.lams[lam_key(st, site, leg)]
-    return lam[:, None] * msg * lam[None, :]
+    return _hermitian_pair(t0.conj(), _close_legs(t0, closures), leg)
 
 
 # cap on the Gauss-Seidel sweeps of one message fixed point
 MESSAGE_MAX_SWEEPS = 500
+# sweeps whose iterate/image pairs enter one Anderson mix
+MESSAGE_ANDERSON_DEPTH = 5
+# mixing starts once a plain sweep moves no entry by more than this;
+# farther out, the mix can converge onto an unstable fixed point of the
+# sweep, one that plain sweeps move away from, and the gauge and the
+# fitted gap would follow it
+MESSAGE_ANDERSON_START = 1e-3
+
+
+def _anderson_mix(fs: list[np.ndarray], gs: list[np.ndarray]) -> np.ndarray:
+    """Type-II Anderson iterate from the recent residuals ``fs`` and sweep
+    images ``gs`` (oldest first): g_k - dG gamma, where gamma minimizes
+    |f_k - dF gamma| over the differences of consecutive pairs."""
+    df = np.diff(np.array(fs), axis=0).T
+    gamma = np.linalg.lstsq(df, fs[-1], rcond=None)[0]
+    return gs[-1] - np.diff(np.array(gs), axis=0).T @ gamma
 
 
 def _message_fixed_point(
     st: IPepsState, tol: float
-) -> dict[tuple[int, int], np.ndarray]:
-    """Outgoing bond environments out[(site, leg)] solved self-consistently.
+) -> tuple[dict[tuple[int, int], np.ndarray], int]:
+    """Outgoing bond environments out[(site, leg)] solved self-consistently,
+    and the number of sweeps it took.
 
     out[(i, l)] is the environment of leg l seen from site i when every
     other leg of i is closed with the weight-dressed message coming in
     from its own neighbor.  Identity messages (the plain weight-squared
     closure) are the starting point; at the gauge fixed point the solution
-    is the identity again.  Messages are trace-normalized.  Hitting
-    ``MESSAGE_MAX_SWEEPS`` warns and returns the last sweep's messages.
+    is the identity again.  Messages are trace-normalized.
+
+    One Gauss-Seidel sweep updates the ends axis by axis, in bond order.
+    Once a sweep changed no entry by more than ``MESSAGE_ANDERSON_START``,
+    the next sweep starts from the Anderson mix of the last
+    ``MESSAGE_ANDERSON_DEPTH`` sweeps, hermitized and trace-normalized;
+    before that, it starts from the plain sweep's output.  A mix that is
+    not finite or has a message of trace <= 0 clears the history, and the
+    plain sweep's output is taken instead.  The stop rule reads the plain
+    sweep: it ends once no entry moved by more than ``tol``, and that
+    sweep's output is returned.  Hitting ``MESSAGE_MAX_SWEEPS`` warns and
+    returns the last sweep's output.
     """
-    bonds = bond_list(st)
+    lam = _leg_weights(st)
+    blocks = _axis_ends(st)
+    ends = [(site, leg) for _, axis_ends in blocks for site, leg, _ in axis_ends]
     opposite: dict[tuple[int, int], tuple[int, int]] = {}
-    for b in bonds:
+    for b in bond_list(st):
         opposite[(b.i_site, b.i_leg)] = (b.j_site, b.j_leg)
         opposite[(b.j_site, b.j_leg)] = (b.i_site, b.i_leg)
-    out = {end: np.eye(st.lams[lam_key(st, *end)].size) for end in opposite}
-    for _ in range(MESSAGE_MAX_SWEEPS):
+    bras = [t.conj() for t in st.tensors]
+    # per site: the shared tensor lands in the second buffer, the first
+    # takes each end's ket; reusing them spares the allocator
+    bufs = [(np.empty_like(t), np.empty_like(t)) for t in st.tensors]
+    sizes = [lam[end].size for end in ends]
+    splits = np.cumsum([n * n for n in sizes])[:-1]
+
+    def sweep(msgs):
+        out = dict(msgs)
+
+        def closure(site, leg):
+            w = lam[(site, leg)]
+            return w[:, None] * out[opposite[(site, leg)]] * w[None, :]
+
         delta = 0.0
-        for end in out:
-            site, leg = end
-            closures = {}
-            for l in range(1, st.tensors[site].ndim):
-                if l == leg:
-                    continue
-                src = opposite[(site, l)]
-                closures[l] = _bond_closure(st, site, l, out[src])
-            fresh = _dressed_gram(st, site, leg, closures)
-            tr = float(np.real(np.trace(fresh)))
+        for axis, axis_ends in blocks:
+            shared = _axis_shared(st, axis, closure, bufs)
+            for site, leg, partner in axis_ends:
+                ket = _apply_on_leg(
+                    shared[site], partner, closure(site, partner), bufs[site][0]
+                )
+                fresh = _hermitian_pair(bras[site], ket, leg)
+                tr = float(np.real(np.trace(fresh)))
+                if tr <= 0.0:
+                    raise RuntimeError("bond environment collapsed to zero")
+                fresh = fresh * (fresh.shape[0] / tr)
+                delta = max(delta, float(np.max(np.abs(fresh - out[(site, leg)]))))
+                out[(site, leg)] = fresh
+        return out, delta
+
+    def stack(msgs):
+        return np.concatenate([msgs[end].ravel() for end in ends])
+
+    def unstack(v):
+        """Hermitized, trace-normalized messages from a stacked vector,
+        or None when they are not usable."""
+        if not np.all(np.isfinite(v)):
+            return None
+        msgs = {}
+        for end, n, m in zip(ends, sizes, np.split(v, splits)):
+            m = m.reshape(n, n)
+            m = 0.5 * (m + m.conj().T)
+            tr = float(np.real(np.trace(m)))
             if tr <= 0.0:
-                raise RuntimeError("bond environment collapsed to zero")
-            fresh = fresh * (fresh.shape[0] / tr)
-            delta = max(delta, float(np.max(np.abs(fresh - out[end]))))
-            out[end] = fresh
+                return None
+            msgs[end] = m * (n / tr)
+        return msgs
+
+    x = {end: np.eye(n) for end, n in zip(ends, sizes)}
+    fs: list[np.ndarray] = []
+    gs: list[np.ndarray] = []
+    for sweeps in range(1, MESSAGE_MAX_SWEEPS + 1):
+        out, delta = sweep(x)
         if delta <= tol:
-            return out
+            return out, sweeps
+        g = stack(out)
+        fs.append(g - stack(x))
+        gs.append(g)
+        del fs[:-MESSAGE_ANDERSON_DEPTH - 1], gs[:-MESSAGE_ANDERSON_DEPTH - 1]
+        x = out
+        if len(fs) > 1 and delta <= MESSAGE_ANDERSON_START:
+            x = unstack(_anderson_mix(fs, gs))
+        if x is None:
+            fs, gs = fs[-1:], gs[-1:]
+            x = out
     warnings.warn(
         f"message fixed point unconverged after {MESSAGE_MAX_SWEEPS} sweeps "
         f"(last change {delta:.1e})",
         RuntimeWarning,
         stacklevel=3,
     )
-    return out
+    return out, MESSAGE_MAX_SWEEPS
 
 
 def superorthogonalize(
@@ -314,10 +462,12 @@ def superorthogonalize(
     _rescale_sites(st, grams)
     residual = _residual_from_grams(st, grams)
     iterations = 0
+    sweeps = 0
     for it in range(max_iter):
         if residual <= so_tol:
             break
-        msgs = _message_fixed_point(st, tol=min(so_tol, 1e-10))
+        msgs, n_sweeps = _message_fixed_point(st, tol=min(so_tol, 1e-10))
+        sweeps += n_sweeps
         for b in bond_list(st):
             lam = st.lams[b.key]
             n_i = msgs[(b.i_site, b.i_leg)]
@@ -351,7 +501,7 @@ def superorthogonalize(
             RuntimeWarning,
             stacklevel=2,
         )
-    return st, SuperorthResult(residual, iterations, converged)
+    return st, SuperorthResult(residual, iterations, converged, sweeps)
 
 
 def truncate_bonds(state: IPepsState, D_max: int) -> tuple[IPepsState, float]:
@@ -441,9 +591,7 @@ def simple_update_bond(
     lam_b = st.lams[bond.key]
 
     t_i = _scaled_tensor(st, bond.i_site, skip_leg=bond.i_leg)
-    shape_i = [1] * t_i.ndim
-    shape_i[bond.i_leg] = lam_b.size
-    t_i = t_i * lam_b.reshape(shape_i)  # bond weight rides the + side once
+    t_i = _close_legs(t_i, {bond.i_leg: lam_b})  # bond weight rides the + side once
     t_j = _scaled_tensor(st, bond.j_site, skip_leg=bond.j_leg)
 
     m_i = np.moveaxis(t_i, [bond.i_leg, 0], [-2, -1])
@@ -480,20 +628,19 @@ def simple_update_bond(
     ).reshape(k_j, -1)).reshape(rest_j + (rank, d))
     new_j = np.moveaxis(red_j, [-1, -2], [0, bond.j_leg])
 
-    # divide the environment weights back out
+    # divide the environment weights back out; the tensors are stored
+    # C-contiguous rather than in the axis order moveaxis left
     for site, new_t, leg_skip in (
         (bond.i_site, new_i, bond.i_leg),
         (bond.j_site, new_j, bond.j_leg),
     ):
+        inv = {}
         for leg in range(1, new_t.ndim):
             if leg == leg_skip:
                 continue
             lam = st.lams[lam_key(st, site, leg)]
-            inv = np.where(lam > pinv_floor, 1.0 / np.where(lam > pinv_floor, lam, 1.0), 0.0)
-            shape = [1] * new_t.ndim
-            shape[leg] = lam.size
-            new_t = new_t * inv.reshape(shape)
-        st.tensors[site] = new_t
+            inv[leg] = np.where(lam > pinv_floor, 1.0 / np.where(lam > pinv_floor, lam, 1.0), 0.0)
+        st.tensors[site] = np.ascontiguousarray(_close_legs(new_t, inv))
     if np.any(lam_new < pinv_floor):
         warnings.warn(
             f"bond weight below pinv floor after truncation on bond {bond.key}",

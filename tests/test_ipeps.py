@@ -9,6 +9,8 @@ from specgap.ipeps import (
     apply_axis_mpo,
     bond_list,
     expectation_terms_peps,
+    lam_key,
+    leg_index,
     random_product_ipeps,
     run_evolution_peps,
     scramble_gauge,
@@ -89,6 +91,57 @@ def rel_err(got, ref):
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
 
+def checkerboard_state(D, seed):
+    """Two-site 2D state holding random D^4 tensors and random positive
+    weights on every bond."""
+    rng = np.random.default_rng(seed)
+    st = random_product_ipeps(hypercubic(2, "two-site-checkerboard"), seed)
+    st.tensors = [rng.normal(size=(2,) + (D,) * 4) for _ in range(2)]
+    for k in st.lams:
+        st.lams[k] = rng.uniform(0.2, 1.0, D)
+    return st
+
+
+def plain_messages(st, tol, max_sweeps=2000):
+    """Reference message fixed point: plain Gauss-Seidel sweeps over the
+    bond ends in bond order, each end closed leg by leg with
+    ``_dressed_gram``.  Returns the messages and the sweep count, which is
+    ``max_sweeps`` if the largest change never fell to ``tol``."""
+    opposite = {}
+    for b in bond_list(st):
+        opposite[(b.i_site, b.i_leg)] = (b.j_site, b.j_leg)
+        opposite[(b.j_site, b.j_leg)] = (b.i_site, b.i_leg)
+    out = {end: np.eye(st.lams[lam_key(st, *end)].size) for end in opposite}
+    for sweeps in range(1, max_sweeps + 1):
+        delta = 0.0
+        for site, leg in out:
+            closures = {}
+            for l in range(1, st.tensors[site].ndim):
+                if l != leg:
+                    w = st.lams[lam_key(st, site, l)]
+                    closures[l] = w[:, None] * out[opposite[(site, l)]] * w[None, :]
+            fresh = ipeps._dressed_gram(st, site, leg, closures)
+            fresh = fresh * (fresh.shape[0] / np.real(np.trace(fresh)))
+            delta = max(delta, float(np.max(np.abs(fresh - out[(site, leg)]))))
+            out[(site, leg)] = fresh
+        if delta <= tol:
+            break
+    return out, sweeps
+
+
+def shared_sweep_madds(st):
+    """Multiply-adds of one sweep with per-axis shared closures: per site
+    and axis, the off-axis closures once, then for each of the two ends the
+    partner closure and the leg pair."""
+    total = 0
+    for axis in range(st.lattice.dimension):
+        plus, minus = leg_index(axis, 0), leg_index(axis, 1)
+        for t in st.tensors:
+            off = sum(t.shape[l] for l in range(1, t.ndim) if (l - 1) // 2 != axis)
+            total += t.size * off + 2 * t.size * (t.shape[plus] + t.shape[minus])
+    return total
+
+
 # a 2D tensor with one enlarged axis, a 3D tensor, a complex 2D tensor;
 # only the complex case tells a closure from its transpose, which the
 # hermitization hides for real input
@@ -149,6 +202,113 @@ class TestLegKernels:
             got = ipeps._gram(st, 0, leg)
             assert work_count() - before == t.size * t.shape[leg]
             assert rel_err(got, brute_dressed_gram(t, leg, closures)) <= 1e-12
+
+    @KERNEL_CASES
+    def test_all_grams_match_per_leg_gram(self, shape, dtype):
+        st = kernel_state(shape, 9, dtype)
+        before = work_count()
+        got = ipeps._all_grams(st)
+        mid = work_count()
+        ref = {end: ipeps._gram(st, *end) for end in got}
+        assert work_count() - mid == mid - before
+        ends = [e for b in bond_list(st)
+                for e in ((b.i_site, b.i_leg), (b.j_site, b.j_leg))]
+        assert list(got) == ends
+        for end in ends:
+            assert rel_err(got[end], ref[end]) <= 1e-13
+
+
+# a 2D single-site state with an MPO-enlarged axis, a 3D single-site
+# state, a 2D checkerboard state, a complex 2D state
+MESSAGE_STATES = pytest.mark.parametrize(
+    "make",
+    [lambda: kernel_state((2, 6, 6, 4, 4), 0, float),
+     lambda: kernel_state((2, 3, 3, 2, 2, 2, 2), 0, float),
+     lambda: checkerboard_state(3, 1),
+     lambda: kernel_state((2, 3, 3, 5, 5), 0, complex)],
+    ids=["2d-enlarged", "3d", "checkerboard", "complex"],
+)
+
+
+class TestMessageFixedPoint:
+    """The Anderson-mixed message fixed point against plain Gauss-Seidel."""
+
+    @MESSAGE_STATES
+    def test_matches_plain_gauss_seidel(self, make):
+        st = make()
+        got, sweeps = ipeps._message_fixed_point(st, tol=1e-12)
+        ref, plain = plain_messages(st, tol=1e-12)
+        assert plain < 2000
+        assert list(got) == list(ref)
+        for end in ref:
+            assert np.max(np.abs(got[end] - ref[end])) <= 1e-8
+        assert 1 < sweeps < ipeps.MESSAGE_MAX_SWEEPS
+
+    @MESSAGE_STATES
+    def test_first_two_sweeps_are_plain(self, make, monkeypatch):
+        # mixing starts from the third sweep at the earliest; the first two are
+        # plain Gauss-Seidel sweeps, so the shared closures must not change them
+        st = make()
+        monkeypatch.setattr(ipeps, "MESSAGE_MAX_SWEEPS", 2)
+        with pytest.warns(RuntimeWarning, match="message fixed point unconverged"):
+            got, _ = ipeps._message_fixed_point(st, tol=1e-12)
+        ref, _ = plain_messages(st, tol=1e-12, max_sweeps=2)
+        for end in ref:
+            assert rel_err(got[end], ref[end]) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [np.nan, -1.0], ids=["nan", "negative-trace"])
+    def test_unusable_mix_falls_back_to_plain(self, scale, monkeypatch):
+        # every mix rejected: the iteration is plain Gauss-Seidel throughout
+        st = kernel_state((2, 3, 3, 2, 2, 2, 2), 0, float)
+        monkeypatch.setattr(ipeps, "_anderson_mix", lambda fs, gs: scale * gs[-1])
+        got, sweeps = ipeps._message_fixed_point(st, tol=1e-12)
+        ref, plain = plain_messages(st, tol=1e-12)
+        assert sweeps == plain
+        for end in ref:
+            assert rel_err(got[end], ref[end]) <= 1e-12
+
+    def test_stays_on_the_plain_fixed_point(self, monkeypatch):
+        # the gauge fix at the second step of a 3D J=0.15 run from seed
+        # 753: plain sweeps first drift away from an unstable fixed point
+        # and then take 125 sweeps to settle elsewhere; mixing from the
+        # first sweeps converged onto the unstable one, whose gauge led
+        # the run to a gap of 0.599 instead of 0.838
+        m = tfim_model(3, 0.15, 1.0)
+        site_h, bond_h = ipeps._axis_bond_matrices(m.hamiltonian, 3)
+        mpos = [build_wii(hamiltonian_line_mpo(bond_h[a], site_h, 1.0 / 3), 0.2, a)
+                for a in range(3)]
+        inputs = []
+        inner = ipeps.superorthogonalize
+
+        def keep_input(st, *args):
+            inputs.append(st.copy())
+            return inner(st, *args)
+
+        monkeypatch.setattr(ipeps, "superorthogonalize", keep_input)
+        st = random_product_ipeps(hypercubic(3), 753)
+        for a in (0, 1, 2, 0, 1, 2):
+            st, _ = apply_axis_mpo(st, mpos[a], a, 3)
+        got, sweeps = ipeps._message_fixed_point(inputs[5], tol=1e-12)
+        ref, plain = plain_messages(inputs[5], tol=1e-12)
+        assert sweeps < plain < 2000
+        for end in ref:
+            assert np.max(np.abs(got[end] - ref[end])) <= 1e-8
+
+    def test_fewer_sweeps_than_plain(self):
+        st = kernel_state((2, 3, 3, 2, 2, 2, 2), 0, float)
+        _, sweeps = ipeps._message_fixed_point(st, tol=1e-12)
+        _, plain = plain_messages(st, tol=1e-12)
+        assert sweeps < plain
+
+    @MESSAGE_STATES
+    def test_one_sweep_madds(self, make, monkeypatch):
+        st = make()
+        monkeypatch.setattr(ipeps, "MESSAGE_MAX_SWEEPS", 1)
+        before = work_count()
+        with pytest.warns(RuntimeWarning, match="message fixed point unconverged"):
+            _, sweeps = ipeps._message_fixed_point(st, tol=1e-12)
+        assert sweeps == 1
+        assert work_count() - before == shared_sweep_madds(st)
 
 
 class TestStateConstruction:
@@ -220,6 +380,19 @@ class TestSimpleUpdate:
         with pytest.raises((RuntimeError, ValueError)):
             simple_update_bond(st, np.zeros((2, 2, 2, 2)), bond_list(st)[0], 4)
 
+    def test_updated_tensors_c_contiguous(self):
+        m = tfim_model(2, 0.2, 1.0)
+        st = random_product_ipeps(hypercubic(2, "two-site-checkerboard"), 11)
+        site_h, bond_h = ipeps._axis_bond_matrices(m.hamiltonian, 2)
+        for _ in range(3):
+            for b in bond_list(st):
+                h = bond_h[b.axis] + (
+                    np.kron(site_h, np.eye(2)) + np.kron(np.eye(2), site_h)
+                ) / 4
+                st, _ = simple_update_bond(st, expm(-0.05 * h).reshape(2, 2, 2, 2), b, 4)
+        assert st.max_bond() > 1
+        assert all(t.flags.c_contiguous for t in st.tensors)
+
     def test_single_site_cell_rejected(self):
         st = random_product_ipeps(hypercubic(2), 4)
         with pytest.raises(ValueError):
@@ -232,7 +405,7 @@ class TestSuperorthogonalize:
         st = random_product_ipeps(hypercubic(2), 3)
         assert superorthogonality_residual(st) < 1e-12
         out, info = superorthogonalize(st)
-        assert info.iterations == 0
+        assert info.iterations == 0 and info.sweeps == 0
         assert info.converged
 
     def test_residual_nonincreasing(self):
@@ -248,6 +421,21 @@ class TestSuperorthogonalize:
         st = random_d2_state(1)
         _, info = superorthogonalize(st, so_tol=1e-10)
         assert info.converged and info.residual <= 1e-10
+
+    def test_sweeps_summed_over_passes(self, monkeypatch):
+        counts = []
+        inner = ipeps._message_fixed_point
+
+        def counted(st, tol):
+            # loose messages leave a residual that takes further passes
+            msgs, sweeps = inner(st, 1e-4)
+            counts.append(sweeps)
+            return msgs, sweeps
+
+        monkeypatch.setattr(ipeps, "_message_fixed_point", counted)
+        _, info = superorthogonalize(random_d2_state(1), so_tol=1e-10)
+        assert len(counts) == info.iterations > 1
+        assert info.sweeps == sum(counts)
 
     def test_unconverged_messages_warn(self, monkeypatch):
         monkeypatch.setattr(ipeps, "MESSAGE_MAX_SWEEPS", 1)
