@@ -18,6 +18,10 @@ QUALITY_NOISY = "noisy"
 QUALITY_NO_WINDOW = "no-linear-window"
 QUALITY_POLYNOMIAL = "polynomial-suspect"
 
+MIN_WINDOW_POINTS = 20  # derivative samples in the shortest linear window
+SPIKE_DEPTH = 10.0  # a spike sits this far below the median of the
+SPIKE_HALFWIDTH = 5  # samples this close to it
+
 
 @dataclass
 class GapTrace:
@@ -93,20 +97,20 @@ class GapEstimate:
     n_points: int = 0
 
 
-def drop_spikes(trace: GapTrace, depth: float = 10.0, halfwidth: int = 5) -> GapTrace:
+def drop_spikes(trace: GapTrace) -> GapTrace:
     """Remove samples far below their local median.
 
     A sign change of the underlying amplitude sends C through -inf; such
-    samples sit ``depth`` or more below the median of their neighborhood
-    and are treated as trace gaps.
+    samples sit ``SPIKE_DEPTH`` or more below the median of the samples
+    within ``SPIKE_HALFWIDTH`` of them and are treated as trace gaps.
     """
     n = len(trace)
     if n < 3:
         return trace
     keep = np.ones(n, dtype=bool)
     for i in range(n):
-        lo, hi = max(0, i - halfwidth), min(n, i + halfwidth + 1)
-        if trace.cs[i] < np.median(trace.cs[lo:hi]) - depth:
+        lo, hi = max(0, i - SPIKE_HALFWIDTH), min(n, i + SPIKE_HALFWIDTH + 1)
+        if trace.cs[i] < np.median(trace.cs[lo:hi]) - SPIKE_DEPTH:
             keep[i] = False
     if np.all(keep):
         return trace
@@ -165,10 +169,10 @@ def detect_linear_window(
     taus_d: np.ndarray,
     deriv: np.ndarray,
     rel_tol: float = 5e-3,
-    min_points: int = 20,
 ) -> tuple[tuple[int, int] | None, str]:
-    """Longest contiguous run where every derivative sample stays within
-    ``rel_tol * |median of the run|`` of the run's median.
+    """Longest contiguous run, of at least ``MIN_WINDOW_POINTS`` samples,
+    where every derivative sample stays within ``rel_tol * |median of the
+    run|`` of the run's median.
 
     The first 10% of samples are discarded as transient.  Runs are grown
     greedily from each start; growth stops at the first sample that breaks
@@ -190,7 +194,7 @@ def detect_linear_window(
                 break
             j += 1
         length = j - i
-        if length >= min_points and (best is None or length > best[1] - best[0]):
+        if length >= MIN_WINDOW_POINTS and (best is None or length > best[1] - best[0]):
             best = (i, j)
         i += 1
 
@@ -200,7 +204,7 @@ def detect_linear_window(
             flag = QUALITY_POLYNOMIAL
         return best, flag
     tail = deriv[start:]
-    if tail.size >= min_points and _monotone_drop(tail) > 0.2:
+    if tail.size >= MIN_WINDOW_POINTS and _monotone_drop(tail) > 0.2:
         return None, QUALITY_POLYNOMIAL
     return None, QUALITY_NO_WINDOW
 
@@ -232,7 +236,6 @@ def fit_gap(
     trace: GapTrace,
     window: tuple[float, float] | None = None,
     rel_tol: float = 5e-3,
-    min_points: int = 20,
     flatten: int = 1,
 ) -> GapEstimate:
     """Least-squares line through the linear window of C(tau).
@@ -254,7 +257,7 @@ def fit_gap(
     taus_d, deriv = numerical_derivative(clean)
     deriv_w = _rolling_mean(deriv, flatten)
     if window is None:
-        idx, flag = detect_linear_window(taus_d, deriv_w, rel_tol, min_points)
+        idx, flag = detect_linear_window(taus_d, deriv_w, rel_tol)
         if idx is None:
             return GapEstimate(
                 gap=float("nan"), intercept=float("nan"), window=None,
@@ -305,10 +308,7 @@ def fit_gap(
 def estimate_gap(
     trace: GapTrace,
     rel_tol: float = 5e-3,
-    min_points: int = 20,
     flatten: int = 1,
 ) -> GapEstimate:
     """One-shot: spikes -> derivative -> window -> fit."""
-    return fit_gap(
-        trace, window=None, rel_tol=rel_tol, min_points=min_points, flatten=flatten
-    )
+    return fit_gap(trace, window=None, rel_tol=rel_tol, flatten=flatten)

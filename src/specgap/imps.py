@@ -18,8 +18,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from .estimator import GapTrace, record_trace
-from .models import Model, OperatorTerms
-from .tensor import add_work, choose_rank, einsum2, psd_factor, svd_fixed
+from .models import Model, OperatorTerms, bond_hamiltonian, split_hamiltonian
+from .tensor import (SVD_CUT, add_work, einsum2, pinv_weights, psd_factor,
+                     truncated_svd, warn_below_floor)
 
 
 @dataclass
@@ -49,17 +50,12 @@ def random_product_imps(local_dim: int, seed: int) -> IMpsState:
     return IMpsState(gammas, [np.ones(1), np.ones(1)])
 
 
-def _pinv_vec(lam: np.ndarray, floor: float) -> np.ndarray:
-    return np.where(lam > floor, 1.0 / np.where(lam > floor, lam, 1.0), 0.0)
-
-
 def tebd_step(
     state: IMpsState,
     bond_gate: np.ndarray,
     which_bond: int,
     D_max: int,
-    rel_tol: float = 1e-14,
-    pinv_floor: float = 1e-12,
+    rel_tol: float = SVD_CUT,
 ) -> tuple[IMpsState, float]:
     """Apply a two-site gate across one bond and re-truncate.
 
@@ -78,20 +74,13 @@ def tebd_step(
     theta = einsum2("apb,bqc->apqc", t1, t2)
     theta = einsum2("xypq,apqc->axyc", np.asarray(bond_gate), theta)
     dl, _, _, dr = theta.shape
-    u, s, vh = svd_fixed(theta.reshape(dl * d, d * dr))
-    rank, discarded = choose_rank(s, D_max, rel_tol)
-    if rank == 0:
-        raise RuntimeError("bond update truncated to rank 0 (degenerate state)")
-    lam_new = s[:rank] / np.linalg.norm(s[:rank])
-    if np.any(lam_new < pinv_floor):
-        warnings.warn(
-            f"bond weight below pinv floor after truncation on bond {b}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    inv = _pinv_vec(lam_env, pinv_floor)
-    gi_new = u[:, :rank].reshape(dl, d, rank) * inv[:, None, None]
-    gj_new = vh[:rank].reshape(rank, d, dr) * inv[None, None, :]
+    u, lam_new, vh, discarded = truncated_svd(
+        theta.reshape(dl * d, d * dr), D_max, rel_tol
+    )
+    warn_below_floor(lam_new, b)
+    inv = pinv_weights(lam_env)
+    gi_new = u.reshape(dl, d, -1) * inv[:, None, None]
+    gj_new = vh.reshape(-1, d, dr) * inv[None, None, :]
 
     gammas = list(state.gammas)
     lams = list(state.lams)
@@ -179,6 +168,8 @@ def canonical_defect(state: IMpsState) -> float:
 
 # cap on the power iterations of one transfer-map fixed point
 FIXED_POINT_MAX_ITER = 2000
+# error bound on each transfer-map fixed point of ``recanonicalize``
+CANONICAL_TOL = 1e-8
 
 
 def _fixed_point(apply, dim: int, tol: float) -> np.ndarray:
@@ -209,7 +200,7 @@ def _fixed_point(apply, dim: int, tol: float) -> np.ndarray:
     return v
 
 
-def recanonicalize(state: IMpsState, tol: float = 1e-8) -> IMpsState:
+def recanonicalize(state: IMpsState, tol: float = CANONICAL_TOL) -> IMpsState:
     """Restore the Vidal form in one shot (Orus & Vidal, PRB 78, 155117).
 
     The cell is blocked into ``A = G0 lam0 G1``.  The dominant right and
@@ -244,19 +235,17 @@ def recanonicalize(state: IMpsState, tol: float = 1e-8) -> IMpsState:
 
     x, x_inv = psd_factor(_fixed_point(right, dl, tol))  # V_R = x^dag x
     y, y_inv = psd_factor(_fixed_point(left, dl, tol))  # V_L = y^dag y
-    u, s, wh = svd_fixed((y * lam1[None, :]) @ x.conj().T)
-    r, _ = choose_rank(s, dl, 1e-14)
-    lam1 = s[:r] / np.linalg.norm(s[:r])
-    a = einsum2("xa,asb->xsb", wh[:r] @ x_inv.conj().T, a)
-    a = einsum2("xsb,by->xsy", a, y_inv @ u[:, :r])
+    u, lam1, wh, _ = truncated_svd((y * lam1[None, :]) @ x.conj().T, dl)
+    r = lam1.size
+    a = einsum2("xa,asb->xsb", wh @ x_inv.conj().T, a)
+    a = einsum2("xsb,by->xsy", a, y_inv @ u)
 
     theta = (a * lam1[:, None, None] * lam1[None, None, :]).reshape(r * d, d * r)
-    u, s, vh = svd_fixed(theta)
-    r0, _ = choose_rank(s, lam0.size, 1e-14)
+    u, lam0, vh, _ = truncated_svd(theta, lam0.size)
     inv = 1.0 / lam1
-    g0 = u[:, :r0].reshape(r, d, r0) * inv[:, None, None]
-    g1 = vh[:r0].reshape(r0, d, r) * inv[None, None, :]
-    return IMpsState([g0, g1], [s[:r0] / np.linalg.norm(s[:r0]), lam1])
+    g0 = u.reshape(r, d, -1) * inv[:, None, None]
+    g1 = vh.reshape(-1, d, r) * inv[None, None, :]
+    return IMpsState([g0, g1], [lam0, lam1])
 
 
 def pair_degeneracy_defect(lam: np.ndarray) -> float:
@@ -285,7 +274,6 @@ class EvolutionSchedule:
     seed: int = 0
     so_tol: float = 1e-10
     so_every: int = 10
-    rel_tol: float = 1e-14  # relative singular-value floor (drops float noise)
 
     def __post_init__(self):
         if self.dtau <= 0:
@@ -302,25 +290,6 @@ class EvolutionSchedule:
             raise ValueError("so_tol must be positive")
 
 
-def collect_bond_hamiltonian(terms: OperatorTerms, z: int) -> np.ndarray:
-    """Two-site bond Hamiltonian with the site terms spread over z bonds."""
-    d = terms.local_dim
-    site = np.zeros((d, d), dtype=complex)
-    bond = np.zeros((d * d, d * d), dtype=complex)
-    for t in terms.terms:
-        if len(t.sites) == 1:
-            site = site + t.matrix
-        elif len(t.sites) == 2:
-            bond = bond + t.matrix
-        else:
-            raise ValueError("bond evolution supports 1- and 2-site terms only")
-    eye = np.eye(d)
-    h = bond + (np.kron(site, eye) + np.kron(eye, site)) / z
-    if np.max(np.abs(h.imag)) <= 1e-14 * max(1.0, np.max(np.abs(h.real))):
-        h = h.real
-    return h
-
-
 def bond_gate(h_bond: np.ndarray, dtau: float) -> np.ndarray:
     """exp(-dtau h) as a (d, d, d, d) tensor (out_i, out_j, in_i, in_j)."""
     d = int(round(np.sqrt(h_bond.shape[0])))
@@ -333,7 +302,6 @@ def _setup_1d(
     schedule: EvolutionSchedule,
     D_max: int,
     seed: int,
-    gauge_tol: float,
 ):
     """Initial product state and the ``advance(state, step)`` sweep of a
     1D run.
@@ -346,15 +314,16 @@ def _setup_1d(
     """
     if model.lattice.dimension != 1:
         raise ValueError("a 1D evolution needs a one-dimensional model")
-    h = collect_bond_hamiltonian(model.hamiltonian, model.lattice.connectivity)
+    site, (bond,) = split_hamiltonian(model.hamiltonian, 1)
+    h = bond_hamiltonian(site, bond, model.lattice.connectivity)
     g_half = bond_gate(h, schedule.dtau / 2.0)
     g_full = bond_gate(h, schedule.dtau)
 
     def advance(state: IMpsState, step: int) -> IMpsState:
-        state, _ = tebd_step(state, g_half, 0, D_max, schedule.rel_tol)
-        state, _ = tebd_step(state, g_full, 1, D_max, schedule.rel_tol)
-        state, _ = tebd_step(state, g_half, 0, D_max, schedule.rel_tol)
-        return recanonicalize(state, tol=gauge_tol)
+        state, _ = tebd_step(state, g_half, 0, D_max, SVD_CUT)
+        state, _ = tebd_step(state, g_full, 1, D_max, SVD_CUT)
+        state, _ = tebd_step(state, g_half, 0, D_max, SVD_CUT)
+        return recanonicalize(state)
 
     return random_product_imps(model.hamiltonian.local_dim, seed), advance
 
@@ -364,14 +333,13 @@ def run_evolution_1d(
     schedule: EvolutionSchedule,
     D_max: int,
     seed: int | None = None,
-    gauge_tol: float = 1e-8,
 ) -> GapTrace:
     """Second-order Trotter TEBD recording C(tau) = ln|<i[H,O]>| per cell
     (see ``record_trace`` for sampling and the underflow stop)."""
     if seed is None:
         seed = schedule.seed
     comm = model.commutator()
-    state, advance = _setup_1d(model, schedule, D_max, seed, gauge_tol)
+    state, advance = _setup_1d(model, schedule, D_max, seed)
     metadata = {
         "model": model.name,
         "scheme": "tebd",
@@ -380,7 +348,6 @@ def run_evolution_1d(
         "seed": seed,
         "measure_every": schedule.measure_every,
         "tau_max": schedule.tau_max,
-        "gauge_tol": gauge_tol,
         **model.params,
     }
     return record_trace(
@@ -394,12 +361,11 @@ def final_state_1d(
     schedule: EvolutionSchedule,
     D_max: int,
     seed: int | None = None,
-    gauge_tol: float = 1e-8,
 ) -> IMpsState:
     """The evolved state at tau_max (for spectrum/convergence checks)."""
     if seed is None:
         seed = schedule.seed
-    state, advance = _setup_1d(model, schedule, D_max, seed, gauge_tol)
+    state, advance = _setup_1d(model, schedule, D_max, seed)
     for step in range(1, int(round(schedule.tau_max / schedule.dtau)) + 1):
         state = advance(state, step)
     return state

@@ -38,8 +38,10 @@ import numpy as np
 
 from .estimator import GapTrace, record_trace
 from .imps import EvolutionSchedule, bond_gate
-from .models import LatticeSpec, Model, OperatorTerms
-from .tensor import add_work, choose_rank, einsum2, psd_factor, qr_counted, svd_fixed
+from .models import (LatticeSpec, Model, OperatorTerms, bond_hamiltonian,
+                     split_hamiltonian)
+from .tensor import (add_work, einsum2, pinv_weights, psd_factor, qr_counted,
+                     truncated_svd, warn_below_floor)
 from .wii import Mpo, build_wii, hamiltonian_line_mpo
 
 _LEG_LETTERS = "abcdefgh"  # virtual-leg subscript pool (z <= 6)
@@ -326,6 +328,8 @@ MESSAGE_ANDERSON_DEPTH = 5
 # sweep, one that plain sweeps move away from, and the gauge and the
 # fitted gap would follow it
 MESSAGE_ANDERSON_START = 1e-3
+# cap on the passes of one gauge fix
+SO_MAX_PASSES = 200
 
 
 def _anderson_mix(fs: list[np.ndarray], gs: list[np.ndarray]) -> np.ndarray:
@@ -444,7 +448,7 @@ def _message_fixed_point(
 def superorthogonalize(
     state: IPepsState,
     so_tol: float = 1e-10,
-    max_iter: int = 200,
+    max_iter: int = SO_MAX_PASSES,
 ) -> tuple[IPepsState, SuperorthResult]:
     """Iterative gauge fixing toward the superorthogonal form.
 
@@ -474,15 +478,11 @@ def superorthogonalize(
             n_j = msgs[(b.j_site, b.j_leg)]
             x, x_inv = psd_factor(n_i)
             y, y_inv = psd_factor(n_j)
-            m = (x * lam[None, :]) @ y.T
-            u, s, vh = svd_fixed(m)
-            keep = s > (1e-14 * s[0] if s.size and s[0] > 0 else 0.0)
-            r = int(np.count_nonzero(keep))
-            if r == 0:
-                raise RuntimeError("bond weights collapsed to zero in gauge fix")
-            st.lams[b.key] = s[:r] / np.linalg.norm(s[:r])
-            g_i = x_inv @ u[:, :r]
-            g_j = y_inv @ vh[:r].T
+            u, st.lams[b.key], vh, _ = truncated_svd(
+                (x * lam[None, :]) @ y.T, lam.size
+            )
+            g_i = x_inv @ u
+            g_j = y_inv @ vh.T
             st.tensors[b.i_site] = _apply_on_leg(st.tensors[b.i_site], b.i_leg, g_i)
             st.tensors[b.j_site] = _apply_on_leg(st.tensors[b.j_site], b.j_leg, g_j)
         grams = _all_grams(st)
@@ -528,7 +528,6 @@ def apply_axis_mpo(
     axis: int,
     D_max: int,
     so_tol: float = 1e-10,
-    so_max_iter: int = 200,
 ) -> tuple[IPepsState, SuperorthResult]:
     """Contract one axis propagator into the site tensor and re-truncate.
 
@@ -561,7 +560,7 @@ def apply_axis_mpo(
     st.tensors[0] = merged
     lam = st.lams[axis]
     st.lams[axis] = np.kron(lam, np.ones(dw)) / np.sqrt(dw)
-    st, info = superorthogonalize(st, so_tol, so_max_iter)
+    st, info = superorthogonalize(st, so_tol, SO_MAX_PASSES)
     st, _ = truncate_bonds(st, D_max)
     return st, info
 
@@ -569,10 +568,8 @@ def apply_axis_mpo(
 def simple_update_bond(
     state: IPepsState,
     gate: np.ndarray,
-    bond: BondRef | object,
+    bond: BondRef,
     D_max: int,
-    rel_tol: float = 1e-14,
-    pinv_floor: float = 1e-12,
 ) -> tuple[IPepsState, float]:
     """Two-site gate on one checkerboard bond with bond-local truncation.
 
@@ -583,9 +580,6 @@ def simple_update_bond(
     """
     if state.lattice.unit_cell != "two-site-checkerboard":
         raise ValueError("gate updates act on the checkerboard unit cell")
-    if not isinstance(bond, BondRef):
-        table = {b.key: b for b in bond_list(state)}
-        bond = table[bond]
     st = state.copy()
     d = st.local_dim
     lam_b = st.lams[bond.key]
@@ -611,20 +605,16 @@ def simple_update_bond(
         r_j.reshape(k_j, t_j.shape[bond.j_leg], d),
     )
     theta = einsum2("xypq,ipjq->ixjy", np.asarray(gate), theta)
-    u, s, vh = svd_fixed(theta.reshape(k_i * d, k_j * d))
-    rank, discarded = choose_rank(s, D_max, rel_tol)
-    if rank == 0:
-        raise RuntimeError(
-            f"gate update on bond {bond.key} truncated to rank 0 "
-            "(degenerate state)"
-        )
-    lam_new = s[:rank] / np.linalg.norm(s[:rank])
+    u, lam_new, vh, discarded = truncated_svd(
+        theta.reshape(k_i * d, k_j * d), D_max
+    )
+    rank = lam_new.size
 
     add_work(float(q_i.size) * d * rank + float(q_j.size) * d * rank)
-    red_i = (q_i @ u[:, :rank].reshape(k_i, d * rank)).reshape(rest_i + (d, rank))
+    red_i = (q_i @ u.reshape(k_i, d * rank)).reshape(rest_i + (d, rank))
     new_i = np.moveaxis(red_i, [-2, -1], [0, bond.i_leg])
     red_j = (q_j @ np.transpose(
-        vh[:rank].reshape(rank, k_j, d), (1, 0, 2)
+        vh.reshape(rank, k_j, d), (1, 0, 2)
     ).reshape(k_j, -1)).reshape(rest_j + (rank, d))
     new_j = np.moveaxis(red_j, [-1, -2], [0, bond.j_leg])
 
@@ -634,19 +624,12 @@ def simple_update_bond(
         (bond.i_site, new_i, bond.i_leg),
         (bond.j_site, new_j, bond.j_leg),
     ):
-        inv = {}
-        for leg in range(1, new_t.ndim):
-            if leg == leg_skip:
-                continue
-            lam = st.lams[lam_key(st, site, leg)]
-            inv[leg] = np.where(lam > pinv_floor, 1.0 / np.where(lam > pinv_floor, lam, 1.0), 0.0)
+        inv = {
+            leg: pinv_weights(st.lams[lam_key(st, site, leg)])
+            for leg in range(1, new_t.ndim) if leg != leg_skip
+        }
         st.tensors[site] = np.ascontiguousarray(_close_legs(new_t, inv))
-    if np.any(lam_new < pinv_floor):
-        warnings.warn(
-            f"bond weight below pinv floor after truncation on bond {bond.key}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    warn_below_floor(lam_new, bond.key)
     st.lams[bond.key] = lam_new
     return st, discarded
 
@@ -741,29 +724,6 @@ def scramble_gauge(state: IPepsState, seed: int) -> IPepsState:
 # evolution driver
 
 
-def _axis_bond_matrices(ham: OperatorTerms, dlat: int) -> tuple[np.ndarray, dict]:
-    """Split the Hamiltonian terms into the on-site part and one bond
-    matrix per positive axis."""
-    d = ham.local_dim
-    site = np.zeros((d, d), dtype=float)
-    bonds: dict[int, np.ndarray] = {}
-    for t in ham.terms:
-        if len(t.sites) == 1:
-            site = site + np.real(t.matrix)
-        elif len(t.sites) == 2:
-            offset = tuple(np.subtract(t.sites[1], t.sites[0]))
-            axes_hit = [a for a, o in enumerate(offset) if o != 0]
-            if len(axes_hit) != 1 or offset[axes_hit[0]] != 1:
-                raise ValueError(f"non-nearest-neighbor bond {t.sites}")
-            a = axes_hit[0]
-            bonds[a] = bonds.get(a, np.zeros((d * d, d * d))) + np.real(t.matrix)
-        else:
-            raise ValueError("evolution supports 1- and 2-site terms only")
-    for a in range(dlat):
-        bonds.setdefault(a, np.zeros((d * d, d * d)))
-    return site, bonds
-
-
 def run_evolution_peps(
     model: Model,
     schedule: EvolutionSchedule,
@@ -780,7 +740,7 @@ def run_evolution_peps(
     if dlat < 2:
         raise ValueError("run_evolution_peps needs a 2D or 3D model")
     comm = model.commutator()
-    site_h, bond_h = _axis_bond_matrices(model.hamiltonian, dlat)
+    site_h, bond_h = split_hamiltonian(model.hamiltonian, dlat)
     dtau = schedule.dtau
 
     if schedule.scheme == "mpo":
@@ -793,29 +753,24 @@ def run_evolution_peps(
 
         def advance(st, step):
             for a in range(dlat):
-                st, _ = apply_axis_mpo(st, mpos[a], a, D_max, schedule.so_tol, 200)
+                st, _ = apply_axis_mpo(st, mpos[a], a, D_max, schedule.so_tol)
             return st
 
     else:
         lattice = LatticeSpec(dlat, 2 * dlat, "two-site-checkerboard", model.lattice.axes)
         state = random_product_ipeps(lattice, schedule.seed)
         z = model.lattice.connectivity
-        half_gates = {}
-        for a in range(dlat):
-            h = bond_h[a] + (
-                np.kron(site_h, np.eye(model.hamiltonian.local_dim))
-                + np.kron(np.eye(model.hamiltonian.local_dim), site_h)
-            ) / z
-            half_gates[a] = bond_gate(h, dtau / 2.0)
+        half_gates = [
+            bond_gate(bond_hamiltonian(site_h, bond_h[a], z), dtau / 2.0)
+            for a in range(dlat)
+        ]
         order = bond_list(state)
 
         def advance(st, step):
             for b in order + order[::-1]:
-                st, _ = simple_update_bond(
-                    st, half_gates[b.axis], b, D_max, schedule.rel_tol
-                )
+                st, _ = simple_update_bond(st, half_gates[b.axis], b, D_max)
             if schedule.so_every and step % schedule.so_every == 0:
-                st, _ = superorthogonalize(st, schedule.so_tol, 200)
+                st, _ = superorthogonalize(st, schedule.so_tol, SO_MAX_PASSES)
             return st
 
     metadata = {

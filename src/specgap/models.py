@@ -179,6 +179,38 @@ def haldane_model() -> Model:
 
 
 # ---------------------------------------------------------------------------
+# bond Hamiltonians of the evolutions
+
+
+def split_hamiltonian(ham: OperatorTerms, dimension: int) -> tuple[np.ndarray, list]:
+    """On-site part and one two-site bond matrix per positive axis, in the
+    dtype of the terms; only sites and nearest-neighbor pairs are allowed."""
+    d = ham.local_dim
+    dtype = np.result_type(float, *(t.matrix for t in ham.terms))
+    site = np.zeros((d, d), dtype)
+    bonds = [np.zeros((d * d, d * d), dtype) for _ in range(dimension)]
+    for t in ham.terms:
+        if len(t.sites) == 1:
+            site = site + t.matrix
+        elif len(t.sites) == 2:
+            offset = np.subtract(t.sites[1], t.sites[0])
+            axes_hit = np.flatnonzero(offset)
+            if axes_hit.size != 1 or offset[axes_hit[0]] != 1:
+                raise ValueError(f"non-nearest-neighbor bond {t.sites}")
+            bonds[axes_hit[0]] = bonds[axes_hit[0]] + t.matrix
+        else:
+            raise ValueError("bond evolution supports 1- and 2-site terms only")
+    return site, bonds
+
+
+def bond_hamiltonian(site: np.ndarray, bond: np.ndarray, z: int) -> np.ndarray:
+    """Two-site bond Hamiltonian with the on-site part spread over the z
+    bonds of a site."""
+    eye = np.eye(site.shape[0])
+    return bond + (np.kron(site, eye) + np.kron(eye, site)) / z
+
+
+# ---------------------------------------------------------------------------
 # dense embeddings and commutators
 
 

@@ -1,6 +1,9 @@
-"""Counted dense kernels on plain ndarrays: pairwise einsum and the
-deterministic factorizations (SVD, QR, eigh, PSD square root) with the
-rank cut the truncations share.
+"""Counted dense kernels on plain ndarrays: pairwise einsum, the
+deterministic factorizations (SVD, QR, eigh, PSD square root), and the two
+steps every bond update shares: the cut ``truncated_svd`` (singular values
+above ``SVD_CUT`` of the largest, unit-norm weights) and the floored
+inverse ``pinv_weights`` (zero at or below ``PINV_FLOOR``) that divides
+environment weights back out.
 
 Everything here is a pure function of its inputs; values can be shared
 freely across threads.  Scalars are real or complex double precision --
@@ -13,7 +16,14 @@ count, which is what the cost-scaling checks measure.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
+
+# relative singular-value floor of every bond cut (drops float noise)
+SVD_CUT = 1e-14
+# environment weights at or below this have a zero floored inverse
+PINV_FLOOR = 1e-12
 
 # ---------------------------------------------------------------------------
 # operation accounting
@@ -51,6 +61,9 @@ def einsum2(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     for n in dims.values():
         total *= n
     add_work(total)
+    # the planned summation order follows the operands' memory layout, so
+    # equal values in another layout could round differently
+    operands = [np.ascontiguousarray(op) for op in operands]
     return np.einsum(subscripts, *operands, optimize=True)
 
 
@@ -125,3 +138,33 @@ def choose_rank(s: np.ndarray, max_rank: int, rel_tol: float) -> tuple[int, floa
     total = float(np.dot(s, s))
     dropped = float(np.dot(s[rank:], s[rank:]))
     return rank, dropped / total
+
+
+def truncated_svd(
+    mat: np.ndarray, max_rank: int, rel_tol: float = SVD_CUT
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The bond cut: ``svd_fixed`` of ``mat`` truncated by ``choose_rank``.
+
+    Returns the kept left vectors, the kept singular values normalized to
+    unit norm (the new bond weights), the kept right vectors and the
+    discarded weight.  A rank-0 cut (a zero matrix) raises RuntimeError.
+    """
+    u, s, vh = svd_fixed(mat)
+    rank, discarded = choose_rank(s, max_rank, rel_tol)
+    if rank == 0:
+        raise RuntimeError("bond cut to rank 0 (degenerate state)")
+    return u[:, :rank], s[:rank] / np.linalg.norm(s[:rank]), vh[:rank], discarded
+
+
+def pinv_weights(lam: np.ndarray) -> np.ndarray:
+    """1 / lam, with zero where lam <= PINV_FLOOR."""
+    keep = lam > PINV_FLOOR
+    return np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
+
+
+def warn_below_floor(lam: np.ndarray, bond) -> None:
+    """Warn when new bond weights fall below PINV_FLOOR, where the next
+    update's inverse zeroes them."""
+    if np.any(lam < PINV_FLOOR):
+        warnings.warn(f"bond weight below pinv floor after truncation on bond "
+                      f"{bond}", RuntimeWarning, stacklevel=3)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .tensor import add_work, svd_fixed
+from .tensor import SVD_CUT, add_work, choose_rank, svd_fixed
 
 
 @dataclass
@@ -84,11 +84,7 @@ def hamiltonian_line_mpo(
     # group (row_i, col_i) x (row_j, col_j) and Schmidt-decompose
     mat = bond.transpose(0, 2, 1, 3).reshape(d * d, d * d)
     u, s, vh = svd_fixed(mat)
-    if s.size and s[0] > 0:
-        keep = s > 1e-14 * s[0]
-    else:
-        keep = np.zeros(s.shape, dtype=bool)
-    r = int(np.count_nonzero(keep))
+    r, _ = choose_rank(s, s.size, SVD_CUT)
     sq = np.sqrt(s[:r])
     C = np.stack(
         [(sq[a] * u[:, a]).reshape(d, d) for a in range(r)]

@@ -61,7 +61,7 @@ class TestWindowDetection:
         t = np.arange(0.0, 12.0, 0.05)
         tr = GapTrace(t, -t + np.exp(-3.0 * t))
         td, d = numerical_derivative(tr)
-        idx, flag = detect_linear_window(td, d, rel_tol=5e-3, min_points=20)
+        idx, flag = detect_linear_window(td, d, rel_tol=5e-3)
         assert flag == QUALITY_CLEAN
         assert td[idx[0]] > 1.0
         med = np.median(d[idx[0]:idx[1]])

@@ -9,7 +9,6 @@ from specgap.imps import (
     EvolutionSchedule,
     IMpsState,
     canonical_defect,
-    collect_bond_hamiltonian,
     bond_gate,
     expectation_terms_imps,
     final_state_1d,
@@ -27,10 +26,17 @@ from specgap.models import (
     SPIN1_X,
     SPIN1_Y,
     SPIN1_Z,
+    bond_hamiltonian,
     haldane_model,
+    split_hamiltonian,
     tfim_chain_model,
 )
 from specgap.tensor import work_count
+
+
+def chain_bond_hamiltonian(model):
+    site, (bond,) = split_hamiltonian(model.hamiltonian, 1)
+    return bond_hamiltonian(site, bond, 2)
 
 
 def positive_product_state(local_dim, seed):
@@ -88,7 +94,7 @@ class TestTebdStep:
     def test_semigroup_property(self):
         # two successive gates == one combined gate at full rank
         m = tfim_chain_model(0.4, 1.0)
-        h = collect_bond_hamiltonian(m.hamiltonian, 2)
+        h = chain_bond_hamiltonian(m)
         st = random_product_imps(2, 5)
         for _ in range(4):  # build up a well-conditioned D=4 state
             st, _ = tebd_step(st, bond_gate(h, 0.3), 0, 8)
@@ -185,7 +191,7 @@ def swept_chain():
     updates without re-canonicalizing."""
     m = tfim_chain_model(0.8, 1.0)
     st = final_state_1d(m, EvolutionSchedule(dtau=0.05, tau_max=3.0, D_max=32), 32, seed=2)
-    h = collect_bond_hamiltonian(m.hamiltonian, 2)
+    h = chain_bond_hamiltonian(m)
     st, _ = tebd_step(st, bond_gate(h, 0.025), 0, 32)
     st, _ = tebd_step(st, bond_gate(h, 0.05), 1, 32)
     st, _ = tebd_step(st, bond_gate(h, 0.025), 0, 32)
@@ -195,7 +201,7 @@ def swept_chain():
 class TestCanonicalForm:
     def test_recanonicalize_reaches_gauge(self):
         m = haldane_model()
-        h = collect_bond_hamiltonian(m.hamiltonian, 2)
+        h = chain_bond_hamiltonian(m)
         st = random_product_imps(3, 5)
         for _ in range(5):
             st, _ = tebd_step(st, bond_gate(h, 0.05), 0, 8)

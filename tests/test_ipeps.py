@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from specgap import ipeps
 from specgap.estimator import fit_gap
-from specgap.imps import EvolutionSchedule
+from specgap.imps import EvolutionSchedule, bond_gate
 from specgap.ipeps import (
     apply_axis_mpo,
     bond_list,
@@ -23,7 +23,9 @@ from specgap.models import (
     OperatorTerms,
     PAULI_X,
     PAULI_Z,
+    bond_hamiltonian,
     hypercubic,
+    split_hamiltonian,
     terms_to_dense,
     tfim_model,
 )
@@ -274,7 +276,7 @@ class TestMessageFixedPoint:
         # first sweeps converged onto the unstable one, whose gauge led
         # the run to a gap of 0.599 instead of 0.838
         m = tfim_model(3, 0.15, 1.0)
-        site_h, bond_h = ipeps._axis_bond_matrices(m.hamiltonian, 3)
+        site_h, bond_h = split_hamiltonian(m.hamiltonian, 3)
         mpos = [build_wii(hamiltonian_line_mpo(bond_h[a], site_h, 1.0 / 3), 0.2, a)
                 for a in range(3)]
         inputs = []
@@ -383,12 +385,10 @@ class TestSimpleUpdate:
     def test_updated_tensors_c_contiguous(self):
         m = tfim_model(2, 0.2, 1.0)
         st = random_product_ipeps(hypercubic(2, "two-site-checkerboard"), 11)
-        site_h, bond_h = ipeps._axis_bond_matrices(m.hamiltonian, 2)
+        site_h, bond_h = split_hamiltonian(m.hamiltonian, 2)
         for _ in range(3):
             for b in bond_list(st):
-                h = bond_h[b.axis] + (
-                    np.kron(site_h, np.eye(2)) + np.kron(np.eye(2), site_h)
-                ) / 4
+                h = bond_hamiltonian(site_h, bond_h[b.axis], 4)
                 st, _ = simple_update_bond(st, expm(-0.05 * h).reshape(2, 2, 2, 2), b, 4)
         assert st.max_bond() > 1
         assert all(t.flags.c_contiguous for t in st.tensors)
@@ -521,6 +521,32 @@ class TestAxisMpo:
 
 
 class TestExpectation:
+    def test_independent_of_memory_layout(self):
+        # the 2D D=4 checkerboard state after 20 second-order gate sweeps:
+        # a site tensor in another memory layout, with equal values, must
+        # give the same bits (an einsum path planned on the layout did not)
+        m = tfim_model(2, 0.2, 1.0)
+        st = random_product_ipeps(hypercubic(2, "two-site-checkerboard"), 11)
+        site_h, bond_h = split_hamiltonian(m.hamiltonian, 2)
+        gates = [bond_gate(bond_hamiltonian(site_h, b, 4), 0.025) for b in bond_h]
+        order = bond_list(st)
+        for _ in range(20):
+            for b in order + order[::-1]:
+                st, _ = simple_update_bond(st, gates[b.axis], b, 4)
+        comm = m.commutator()
+        ref = expectation_terms_peps(st, comm)
+        for site in range(2):
+            t = st.tensors[site]
+            layouts = [np.asfortranarray(t)] + [
+                np.moveaxis(np.ascontiguousarray(np.moveaxis(t, leg, -1)), -1, leg)
+                for leg in range(1, t.ndim - 1)
+            ]
+            for view in layouts:
+                assert np.array_equal(view, t) and not view.flags.c_contiguous
+                alt = st.copy()
+                alt.tensors[site] = view
+                assert expectation_terms_peps(alt, comm) == ref
+
     def test_identity_per_site(self):
         st = random_product_ipeps(hypercubic(2), 2)
         ident = OperatorTerms([LocalTerm(((0, 0),), np.eye(2))], 2)
@@ -549,11 +575,10 @@ class TestExpectation:
 
 def _evolved_state(model, schedule, D_max):
     """Short evolution returning the final state (mpo scheme)."""
-    from specgap.ipeps import _axis_bond_matrices
     from specgap.models import LatticeSpec
 
     dlat = model.lattice.dimension
-    site_h, bond_h = _axis_bond_matrices(model.hamiltonian, dlat)
+    site_h, bond_h = split_hamiltonian(model.hamiltonian, dlat)
     lattice = LatticeSpec(dlat, 2 * dlat, "single-site", model.lattice.axes)
     st = random_product_ipeps(lattice, schedule.seed)
     mpos = [
@@ -563,7 +588,7 @@ def _evolved_state(model, schedule, D_max):
     ]
     for _ in range(int(round(schedule.tau_max / schedule.dtau))):
         for a in range(dlat):
-            st, _ = apply_axis_mpo(st, mpos[a], a, D_max, schedule.so_tol, 200)
+            st, _ = apply_axis_mpo(st, mpos[a], a, D_max, schedule.so_tol)
     return st
 
 
@@ -583,8 +608,7 @@ class TestRunEvolution:
         # replace the random start by the symmetric one and re-evolve
         lat = hypercubic(2)
         sym = plus_state(lat)
-        from specgap.ipeps import _axis_bond_matrices
-        site_h, bond_h = _axis_bond_matrices(m.hamiltonian, 2)
+        site_h, bond_h = split_hamiltonian(m.hamiltonian, 2)
         w = build_wii(hamiltonian_line_mpo(bond_h[0], site_h, 0.5), 0.2)
         for _ in range(40):
             for a in (0, 1):
@@ -597,15 +621,10 @@ class TestRunEvolution:
                                 D_max=2, seed=3)
         tr = run_evolution_peps(m, sch, D_max=2)
         st = random_product_ipeps(hypercubic(2, "two-site-checkerboard"), 3)
-        from specgap.imps import bond_gate
-        from specgap.ipeps import _axis_bond_matrices
-        site_h, bond_h = _axis_bond_matrices(m.hamiltonian, 2)
-        z = 4
+        site_h, bond_h = split_hamiltonian(m.hamiltonian, 2)
         for _ in range(60):
             for b in bond_list(st):
-                h = bond_h[b.axis] + (
-                    np.kron(site_h, np.eye(2)) + np.kron(np.eye(2), site_h)
-                ) / z
+                h = bond_hamiltonian(site_h, bond_h[b.axis], 4)
                 st, _ = simple_update_bond(st, bond_gate(h, 0.1), b, 2)
         assert abs(expectation_terms_peps(st, OZ)) / 2.0 > 0.5
 

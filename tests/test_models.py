@@ -8,13 +8,17 @@ from specgap.models import (
     PAULI_Y,
     PAULI_Z,
     SPIN1_Z,
+    SPIN1_X,
+    SPIN1_Y,
     LocalTerm,
     OperatorTerms,
+    bond_hamiltonian,
     commutator_terms,
     embed_on_sites,
     haldane,
     haldane_gap_operator,
     haldane_model,
+    split_hamiltonian,
     terms_to_dense,
     tfim,
     tfim_chain_model,
@@ -156,6 +160,39 @@ class TestCommutatorTerms:
         O = OperatorTerms([LocalTerm(((0,),), SPIN1_Z)], 3)
         with pytest.raises(ValueError):
             commutator_terms(H, O)
+
+
+class TestBondHamiltonian:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_tfim_matches_explicit(self, dim):
+        J, g = 0.7, 1.3
+        site, bonds = split_hamiltonian(tfim_model(dim, J, g).hamiltonian, dim)
+        assert len(bonds) == dim
+        assert np.isrealobj(site) and all(np.isrealobj(b) for b in bonds)
+        zz = -J * np.kron(PAULI_Z, PAULI_Z)
+        x = -g * PAULI_X
+        explicit = zz + (np.kron(x, np.eye(2)) + np.kron(np.eye(2), x)) / (2 * dim)
+        for b in bonds:
+            assert np.array_equal(b, zz)
+            assert np.max(np.abs(bond_hamiltonian(site, b, 2 * dim) - explicit)) < 1e-15
+
+    def test_haldane_matches_explicit(self):
+        site, (bond,) = split_hamiltonian(haldane_model().hamiltonian, 1)
+        assert np.array_equal(site, np.zeros((3, 3)))
+        explicit = (
+            np.kron(SPIN1_X, SPIN1_X)
+            + np.kron(SPIN1_Y, SPIN1_Y)
+            + np.kron(SPIN1_Z, SPIN1_Z)
+        )
+        assert np.max(np.abs(bond_hamiltonian(site, bond, 2) - explicit)) < 1e-15
+
+    def test_longer_range_rejected(self):
+        nnn = OperatorTerms([LocalTerm(((0,), (2,)), np.eye(4))], 2)
+        with pytest.raises(ValueError, match="non-nearest-neighbor"):
+            split_hamiltonian(nnn, 1)
+        three = OperatorTerms([LocalTerm(((0,), (1,), (2,)), np.eye(8))], 2)
+        with pytest.raises(ValueError, match="1- and 2-site"):
+            split_hamiltonian(three, 1)
 
 
 class TestEmbedding:
