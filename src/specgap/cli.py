@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,13 +46,9 @@ class RunConfig:
     seed: int = 0
     outdir: str = "."
     tag: str = ""
-    so_tol: float = 1e-10
-    so_every: int = 10
-    window_rel_tol: float = -1.0  # <= 0: 5e-3 (mpo/tebd) or 5e-2 (gates)
-    flatten: int = -1             # <= 0: 1 (mpo/tebd) or 15 (gates)
 
     def resolve(self) -> "RunConfig":
-        cfg = RunConfig(**{f.name: getattr(self, f.name) for f in fields(self)})
+        cfg = replace(self)
         if cfg.model not in MODELS:
             raise ValueError(f"unknown model {cfg.model!r} (choose from {MODELS})")
         if cfg.scheme not in ("mpo", "gates"):
@@ -64,17 +60,9 @@ class RunConfig:
         if cfg.D <= 0:
             cfg.D = {"tfim2d": 8, "tfim3d": 4, "haldane": 32,
                      "oracle-random": 10}[cfg.model]
-        if cfg.window_rel_tol <= 0:
-            cfg.window_rel_tol = 5e-2 if _uses_gates(cfg) else 5e-3
-        if cfg.flatten <= 0:
-            cfg.flatten = 15 if _uses_gates(cfg) else 1
         if not cfg.tag:
             cfg.tag = cfg.model
         return cfg
-
-
-def _uses_gates(cfg: RunConfig) -> bool:
-    return cfg.model in ("tfim2d", "tfim3d") and cfg.scheme == "gates"
 
 
 def parse_config_file(path: str) -> dict:
@@ -170,31 +158,34 @@ def evolution_schedule(cfg: RunConfig) -> EvolutionSchedule:
         dtau=cfg.dtau,
         tau_max=cfg.tau_max,
         measure_every=cfg.measure_every,
-        scheme=cfg.scheme if cfg.model.startswith("tfim") else "gates",
+        scheme=cfg.scheme,
         D_max=cfg.D,
         seed=cfg.seed,
-        so_tol=cfg.so_tol,
-        so_every=cfg.so_every,
     )
 
 
+def build_model(cfg: RunConfig) -> models.Model | None:
+    """Lattice model of a resolved config (None for the dense oracle);
+    ValueError when its parameters are invalid."""
+    if cfg.model == "oracle-random":
+        return None
+    if cfg.model == "haldane":
+        return models.haldane_model()
+    return models.tfim_model(3 if cfg.model == "tfim3d" else 2, cfg.J, cfg.g)
+
+
 def execute_run(
-    cfg: RunConfig, schedule: EvolutionSchedule
+    cfg: RunConfig, schedule: EvolutionSchedule, model: models.Model | None
 ) -> tuple[GapTrace, "estimator.GapEstimate", dict]:
     """Run the evolution of a resolved config and fit the gap (no file I/O)."""
     extra: dict = {}
-    if cfg.model == "oracle-random":
+    if model is None:
         trace, extra = _oracle_random_trace(cfg)
-    elif cfg.model == "haldane":
-        trace = run_evolution_1d(models.haldane_model(), schedule, cfg.D, cfg.seed)
-    elif cfg.model == "tfim2d":
-        trace = run_evolution_peps(models.tfim_model(2, cfg.J, cfg.g), schedule, cfg.D)
-    elif cfg.model == "tfim3d":
-        trace = run_evolution_peps(models.tfim_model(3, cfg.J, cfg.g), schedule, cfg.D)
+    elif model.lattice.dimension == 1:
+        trace = run_evolution_1d(model, schedule, cfg.D, cfg.seed)
     else:
-        raise ValueError(f"unknown model {cfg.model!r}")
-    est = estimate_gap(trace, rel_tol=cfg.window_rel_tol, flatten=cfg.flatten)
-    return trace, est, extra
+        trace = run_evolution_peps(model, schedule, cfg.D)
+    return trace, estimate_gap(trace), extra
 
 
 def run(cfg: RunConfig) -> int:
@@ -202,6 +193,7 @@ def run(cfg: RunConfig) -> int:
     try:
         cfg = cfg.resolve()
         schedule = evolution_schedule(cfg)
+        model = build_model(cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -209,7 +201,7 @@ def run(cfg: RunConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     try:
-        trace, est, extra = execute_run(cfg, schedule)
+        trace, est, extra = execute_run(cfg, schedule, model)
     except Exception as exc:  # numeric failure: report and bail out
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -269,14 +261,16 @@ def sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if param in ("J", "g") and not cfg.model.startswith("tfim"):
+        print(f"error: {cfg.model} does not depend on {param}", file=sys.stderr)
+        return EXIT_USAGE
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     worst = EXIT_OK
     for v in values:
-        sub = RunConfig(**{f.name: getattr(cfg, f.name) for f in fields(RunConfig)})
-        setattr(sub, param, int(v) if param == "D" else float(v))
-        sub.tag = f"{cfg.tag}_{param}{v:g}"
+        sub = replace(cfg, **{param: int(v) if param == "D" else float(v)},
+                      tag=f"{cfg.tag}_{param}{v:g}")
         summary = outdir / f"{sub.tag}_summary.txt"
         summary.unlink(missing_ok=True)
         code = run(sub)

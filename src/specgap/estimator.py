@@ -3,6 +3,9 @@
 The pipeline is: spike removal, central-difference derivative, detection of
 the longest derivative plateau (a median band, deterministic and auditable),
 then a least-squares line through the plateau whose negated slope is the gap.
+The detection settings are chosen from the trace itself: a gate-scheme trace
+(``metadata["scheme"] == "gates"``) jitters between gauge fixes, so its
+derivative is smoothed and its band is wider.
 """
 
 from __future__ import annotations
@@ -19,6 +22,12 @@ QUALITY_NO_WINDOW = "no-linear-window"
 QUALITY_POLYNOMIAL = "polynomial-suspect"
 
 MIN_WINDOW_POINTS = 20  # derivative samples in the shortest linear window
+WINDOW_REL_TOL = 5e-3  # half-width of the window's derivative band, relative
+# a gate-scheme trace jitters between gauge fixes: its window is found on a
+# centered rolling mean of the derivative this many samples wide, inside a
+# band this wide
+GATES_FLATTEN = 15
+GATES_WINDOW_REL_TOL = 5e-2
 SPIKE_DEPTH = 10.0  # a spike sits this far below the median of the
 SPIKE_HALFWIDTH = 5  # samples this close to it
 
@@ -168,7 +177,7 @@ class _RunningMedian:
 def detect_linear_window(
     taus_d: np.ndarray,
     deriv: np.ndarray,
-    rel_tol: float = 5e-3,
+    rel_tol: float = WINDOW_REL_TOL,
 ) -> tuple[tuple[int, int] | None, str]:
     """Longest contiguous run, of at least ``MIN_WINDOW_POINTS`` samples,
     where every derivative sample stays within ``rel_tol * |median of the
@@ -222,8 +231,6 @@ def _monotone_drop(deriv: np.ndarray) -> float:
 
 
 def _rolling_mean(x: np.ndarray, width: int) -> np.ndarray:
-    if width <= 1:
-        return x
     half = width // 2
     out = np.empty_like(x)
     for i in range(x.size):
@@ -235,16 +242,15 @@ def _rolling_mean(x: np.ndarray, width: int) -> np.ndarray:
 def fit_gap(
     trace: GapTrace,
     window: tuple[float, float] | None = None,
-    rel_tol: float = 5e-3,
-    flatten: int = 1,
 ) -> GapEstimate:
     """Least-squares line through the linear window of C(tau).
 
-    gap = -slope.  ``flatten`` > 1 smooths the derivative with a centered
-    rolling mean of that width before window detection (the flattening a
-    fluctuating gate-scheme trace needs); the fit and the fluctuation
-    figure still use the raw samples.  The error bar is max(std of the
-    in-window derivative,
+    gap = -slope.  Without an explicit ``window`` it is detected from the
+    trace: on a gate-scheme trace the derivative is first smoothed with a
+    ``GATES_FLATTEN``-wide rolling mean and the band is
+    ``GATES_WINDOW_REL_TOL``; any other trace uses the raw derivative and
+    ``WINDOW_REL_TOL``.  The fit and the fluctuation figure always use the
+    raw samples.  The error bar is max(std of the in-window derivative,
     gap difference between the two window halves), catching residual
     curvature the standard deviation misses.  derivative_fluctuation is
     the std of the in-window derivative after removing its linear trend:
@@ -255,9 +261,13 @@ def fit_gap(
     """
     clean = drop_spikes(trace)
     taus_d, deriv = numerical_derivative(clean)
-    deriv_w = _rolling_mean(deriv, flatten)
     if window is None:
-        idx, flag = detect_linear_window(taus_d, deriv_w, rel_tol)
+        if trace.metadata.get("scheme") == "gates":
+            idx, flag = detect_linear_window(
+                taus_d, _rolling_mean(deriv, GATES_FLATTEN), GATES_WINDOW_REL_TOL
+            )
+        else:
+            idx, flag = detect_linear_window(taus_d, deriv)
         if idx is None:
             return GapEstimate(
                 gap=float("nan"), intercept=float("nan"), window=None,
@@ -305,10 +315,6 @@ def fit_gap(
     )
 
 
-def estimate_gap(
-    trace: GapTrace,
-    rel_tol: float = 5e-3,
-    flatten: int = 1,
-) -> GapEstimate:
+def estimate_gap(trace: GapTrace) -> GapEstimate:
     """One-shot: spikes -> derivative -> window -> fit."""
-    return fit_gap(trace, window=None, rel_tol=rel_tol, flatten=flatten)
+    return fit_gap(trace)

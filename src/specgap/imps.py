@@ -20,7 +20,7 @@ from scipy.linalg import expm
 from .estimator import GapTrace, record_trace
 from .models import Model, OperatorTerms, bond_hamiltonian, split_hamiltonian
 from .tensor import (SVD_CUT, add_work, einsum2, pinv_weights, psd_factor,
-                     truncated_svd, warn_below_floor)
+                     truncated_svd, warn_below_floor, warn_imaginary)
 
 
 @dataclass
@@ -138,12 +138,7 @@ def expectation_terms_imps(state: IMpsState, terms: OperatorTerms) -> float:
             val = num / den
             imag_max = max(imag_max, abs(val.imag))
             total += val.real
-    if imag_max > 1e-10 * max(1.0, abs(total)):
-        warnings.warn(
-            f"imaginary part {imag_max:.2e} in expectation value",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    warn_imaginary(imag_max, total)
     return total
 
 
@@ -272,7 +267,6 @@ class EvolutionSchedule:
     scheme: str = "gates"
     D_max: int = 8
     seed: int = 0
-    so_tol: float = 1e-10
     so_every: int = 10
 
     def __post_init__(self):
@@ -284,10 +278,8 @@ class EvolutionSchedule:
             raise ValueError("measure_every must be >= 1")
         if self.scheme not in ("gates", "mpo"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        # the gauge fix stops on residual <= so_tol: a non-positive (or NaN)
-        # tolerance is never met, so every message fixed point runs to its cap
-        if not self.so_tol > 0:
-            raise ValueError("so_tol must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def bond_gate(h_bond: np.ndarray, dtau: float) -> np.ndarray:

@@ -41,7 +41,7 @@ from .imps import EvolutionSchedule, bond_gate
 from .models import (LatticeSpec, Model, OperatorTerms, bond_hamiltonian,
                      split_hamiltonian)
 from .tensor import (add_work, einsum2, pinv_weights, psd_factor, qr_counted,
-                     truncated_svd, warn_below_floor)
+                     truncated_svd, warn_below_floor, warn_imaginary)
 from .wii import Mpo, build_wii, hamiltonian_line_mpo
 
 _LEG_LETTERS = "abcdefgh"  # virtual-leg subscript pool (z <= 6)
@@ -330,6 +330,8 @@ MESSAGE_ANDERSON_DEPTH = 5
 MESSAGE_ANDERSON_START = 1e-3
 # cap on the passes of one gauge fix
 SO_MAX_PASSES = 200
+# residual at which a gauge fix stops, and the message fixed point's tolerance
+SO_TOL = 1e-10
 
 
 def _anderson_mix(fs: list[np.ndarray], gs: list[np.ndarray]) -> np.ndarray:
@@ -447,7 +449,7 @@ def _message_fixed_point(
 
 def superorthogonalize(
     state: IPepsState,
-    so_tol: float = 1e-10,
+    so_tol: float = SO_TOL,
     max_iter: int = SO_MAX_PASSES,
 ) -> tuple[IPepsState, SuperorthResult]:
     """Iterative gauge fixing toward the superorthogonal form.
@@ -456,7 +458,8 @@ def superorthogonalize(
     iteration) and then rotates every bond so both of its environments
     become the identity; the inserted maps and the new weights multiply
     back to the old weights, so the state itself never changes.  Stops at
-    ``so_tol``, at ``max_iter`` passes, or when the residual stalls at its
+    residual ``so_tol`` (also the message iteration's tolerance), at
+    ``max_iter`` passes, or when the residual stalls at its
     numerical floor; non-convergence is flagged on the result and the best
     iterate is returned.
     """
@@ -470,7 +473,7 @@ def superorthogonalize(
     for it in range(max_iter):
         if residual <= so_tol:
             break
-        msgs, n_sweeps = _message_fixed_point(st, tol=min(so_tol, 1e-10))
+        msgs, n_sweeps = _message_fixed_point(st, tol=so_tol)
         sweeps += n_sweeps
         for b in bond_list(st):
             lam = st.lams[b.key]
@@ -527,7 +530,6 @@ def apply_axis_mpo(
     mpo: Mpo,
     axis: int,
     D_max: int,
-    so_tol: float = 1e-10,
 ) -> tuple[IPepsState, SuperorthResult]:
     """Contract one axis propagator into the site tensor and re-truncate.
 
@@ -560,7 +562,7 @@ def apply_axis_mpo(
     st.tensors[0] = merged
     lam = st.lams[axis]
     st.lams[axis] = np.kron(lam, np.ones(dw)) / np.sqrt(dw)
-    st, info = superorthogonalize(st, so_tol, SO_MAX_PASSES)
+    st, info = superorthogonalize(st, SO_TOL, SO_MAX_PASSES)
     st, _ = truncate_bonds(st, D_max)
     return st, info
 
@@ -693,12 +695,7 @@ def expectation_terms_peps(state: IPepsState, terms: OperatorTerms) -> float:
             den = float(np.real(np.einsum("kkll->", combined)))
             total += num.real / den
             imag_max = max(imag_max, abs(num.imag) / den)
-    if imag_max > 1e-10 * max(1.0, abs(total)):
-        warnings.warn(
-            f"imaginary part {imag_max:.2e} in expectation value",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    warn_imaginary(imag_max, total)
     return total
 
 
@@ -753,7 +750,7 @@ def run_evolution_peps(
 
         def advance(st, step):
             for a in range(dlat):
-                st, _ = apply_axis_mpo(st, mpos[a], a, D_max, schedule.so_tol)
+                st, _ = apply_axis_mpo(st, mpos[a], a, D_max)
             return st
 
     else:
@@ -770,7 +767,7 @@ def run_evolution_peps(
             for b in order + order[::-1]:
                 st, _ = simple_update_bond(st, half_gates[b.axis], b, D_max)
             if schedule.so_every and step % schedule.so_every == 0:
-                st, _ = superorthogonalize(st, schedule.so_tol, SO_MAX_PASSES)
+                st, _ = superorthogonalize(st, SO_TOL, SO_MAX_PASSES)
             return st
 
     metadata = {
@@ -781,7 +778,6 @@ def run_evolution_peps(
         "seed": schedule.seed,
         "measure_every": schedule.measure_every,
         "tau_max": schedule.tau_max,
-        "so_tol": schedule.so_tol,
         "so_every": schedule.so_every if schedule.scheme == "gates" else 1,
         **model.params,
     }

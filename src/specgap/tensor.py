@@ -168,3 +168,12 @@ def warn_below_floor(lam: np.ndarray, bond) -> None:
     if np.any(lam < PINV_FLOOR):
         warnings.warn(f"bond weight below pinv floor after truncation on bond "
                       f"{bond}", RuntimeWarning, stacklevel=3)
+
+
+def warn_imaginary(imag_max: float, total: float) -> None:
+    """Warn when the largest imaginary part met while summing an
+    expectation value exceeds 1e-10 of its magnitude (floored at 1); the
+    warning names the code that asked for the expectation value."""
+    if imag_max > 1e-10 * max(1.0, abs(total)):
+        warnings.warn(f"imaginary part {imag_max:.2e} in expectation value",
+                      RuntimeWarning, stacklevel=3)

@@ -4,14 +4,15 @@ The Hamiltonian of a single line is brought into the standard upper
 triangular operator-valued block form
 
         [ 1  C  D ]
-    W = [ 0  A  B ]      H_N = (W_1 W_2 ... W_N)[first row, last column]
+    W = [ 0  0  B ]      H_N = (W_1 W_2 ... W_N)[first row, last column]
         [ 0  0  1 ]
 
-with D the on-site part, B/C the two factors of the bond term and A empty
-for nearest-neighbor interactions.  The propagator tensor is then built by
-exponentiating the blocks in a two-hard-core-boson extension of the local
-space; its N-site contraction matches exp(-dtau H_line) with per-site
-error of order dtau^2, and it is exact when the bond term vanishes.
+with D the on-site part and B/C the two factors of the nearest-neighbor
+bond term, one channel per operator-Schmidt term.  The propagator tensor
+is then built by exponentiating the blocks in a two-hard-core-boson
+extension of the local space; its N-site contraction matches
+exp(-dtau H_line) with per-site error of order dtau^2, and it is exact
+when the bond term vanishes.
 The virtual dimension of the propagator is 1 + (number of bond channels):
 the triangular completion flow of the Hamiltonian MPO merges into the
 vacuum channel, so a nearest-neighbor line with one channel gives a 2x2
@@ -30,9 +31,9 @@ from .tensor import SVD_CUT, add_work, choose_rank, svd_fixed
 
 @dataclass
 class MpoBlocks:
-    """Blocks (A, B, C, D) of the Hamiltonian-line MPO."""
+    """Blocks (B, C, D) of a nearest-neighbor Hamiltonian-line MPO; B and C
+    hold the same number of channels."""
 
-    A: np.ndarray  # (r, r, d, d), zero for nearest-neighbor terms
     B: np.ndarray  # (r, d, d)
     C: np.ndarray  # (r, d, d)
     D: np.ndarray  # (d, d), on-site part
@@ -92,8 +93,7 @@ def hamiltonian_line_mpo(
     B = np.stack(
         [(sq[a] * vh[a]).reshape(d, d) for a in range(r)]
     ) if r else np.zeros((0, d, d), dtype=mat.dtype)
-    A = np.zeros((r, r, d, d), dtype=mat.dtype)
-    return MpoBlocks(A=A, B=B, C=C, D=field_fraction * field_term)
+    return MpoBlocks(B=B, C=C, D=field_fraction * field_term)
 
 
 def build_wii(blocks: MpoBlocks, dtau: float, axis: int = 0) -> Mpo:
@@ -109,19 +109,17 @@ def build_wii(blocks: MpoBlocks, dtau: float, axis: int = 0) -> Mpo:
     t = -dtau
     tc = np.sqrt(abs(t))
     tb = t / tc
-    A, B, C, D = blocks.A, blocks.B, blocks.C, blocks.D
+    B, C, D = blocks.B, blocks.C, blocks.D
     d = blocks.local_dim
-    nr = B.shape[0]
-    nc = C.shape[0]
-    dtype = np.result_type(A, B, C, D, float)
-    w = np.zeros((1 + nr, 1 + nc, d, d), dtype=dtype)
+    n = blocks.channels
+    dtype = np.result_type(B, C, D, float)
+    w = np.zeros((1 + n, 1 + n, d, d), dtype=dtype)
 
     id2 = np.eye(2)
     lower = np.array([[0.0, 0.0], [1.0, 0.0]])
     id4 = np.kron(id2, id2)
     br = np.kron(lower, id2)   # raises the row boson
     bc = np.kron(id2, lower)   # raises the column boson
-    brc = np.kron(lower, lower)
 
     def corner(h: np.ndarray) -> np.ndarray:
         # exponentiate on (boson_r x boson_c x physical), project onto the
@@ -130,12 +128,11 @@ def build_wii(blocks: MpoBlocks, dtau: float, axis: int = 0) -> Mpo:
         full = expm(h).reshape(2, 2, d, 2, 2, d)
         return full[:, :, :, 0, 0, :]
 
-    if nr and nc:
-        for r in range(nr):
-            for c in range(nc):
+    if n:
+        for r in range(n):
+            for c in range(n):
                 h = (
-                    np.kron(brc, A[r, c])
-                    + np.kron(br, tb * B[r])
+                    np.kron(br, tb * B[r])
                     + np.kron(bc, tc * C[c])
                     + t * np.kron(id4, D)
                 )
@@ -147,18 +144,6 @@ def build_wii(blocks: MpoBlocks, dtau: float, axis: int = 0) -> Mpo:
                     w[0, 1 + c] = g[0, 1]
                     if c == 0:
                         w[0, 0] = g[0, 0]
-    elif nr:
-        for r in range(nr):
-            g = corner(np.kron(br, tb * B[r]) + t * np.kron(id4, D))
-            w[1 + r, 0] = g[1, 0]
-            if r == 0:
-                w[0, 0] = g[0, 0]
-    elif nc:
-        for c in range(nc):
-            g = corner(np.kron(bc, tc * C[c]) + t * np.kron(id4, D))
-            w[0, 1 + c] = g[0, 1]
-            if c == 0:
-                w[0, 0] = g[0, 0]
     else:
         add_work(30.0 * d**3)
         w = expm(t * D).reshape(1, 1, d, d).astype(dtype)
@@ -180,8 +165,6 @@ def line_hamiltonian_dense(blocks: MpoBlocks, n_sites: int) -> np.ndarray:
     for a in range(r):
         wmat[0, 1 + a] = blocks.C[a]
         wmat[1 + a, dw - 1] = blocks.B[a]
-        for b in range(r):
-            wmat[1 + a, 1 + b] = blocks.A[a, b]
     return _contract_channel_chain(wmat, n_sites, 0, dw - 1)
 
 

@@ -223,7 +223,7 @@ def test_criterion_5_two_dimensional_headline():
         dtau=0.2, tau_max=32.0, scheme="gates", D_max=3, seed=11
     )
     tr_gates = run_evolution_peps(m, sch_gates, D_max=3)
-    est_gates = estimate_gap(tr_gates, rel_tol=5e-2, flatten=15)
+    est_gates = estimate_gap(tr_gates)
     elapsed = time.perf_counter() - start
 
     headline = abs(est8.gap - 1.074)

@@ -40,19 +40,25 @@ class TestConfig:
         assert code == EXIT_USAGE
         assert not (tmp_path / "tfim2d_summary.txt").exists()
 
-    def test_nonpositive_so_tol_usage_error(self, tmp_path):
-        code = main(["run", "--model", "tfim2d", "--so_tol", "0",
-                     "--tau_max", "0.4", "--D", "2", "--outdir", str(tmp_path)])
+    def test_vanishing_couplings_usage_error(self, tmp_path):
+        code = main(["run", "--model", "tfim2d", "--J", "0", "--g", "0",
+                     "--tau_max", "0.4", "--outdir", str(tmp_path)])
         assert code == EXIT_USAGE
         assert not (tmp_path / "tfim2d_summary.txt").exists()
+
+    @pytest.mark.parametrize("model", ["tfim2d", "tfim3d", "haldane",
+                                       "oracle-random"])
+    def test_negative_seed_usage_error(self, tmp_path, model):
+        code = main(["run", "--model", model, "--seed", "-1",
+                     "--tau_max", "0.4", "--outdir", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / f"{model}_summary.txt").exists()
 
     def test_scheme_defaults_resolved(self):
         cfg = RunConfig(model="tfim2d", scheme="gates").resolve()
         assert cfg.dtau == 0.05
-        assert cfg.flatten == 15
         cfg = RunConfig(model="tfim2d", scheme="mpo").resolve()
         assert cfg.dtau == 0.2
-        assert cfg.flatten == 1
 
 
 class TestRun:
@@ -72,7 +78,6 @@ class TestRun:
         assert abs(float(summary["gap"]) - 2.0) < 1e-3
         # the echoed config carries every resolved default
         assert summary["cfg_model"] == "tfim2d"
-        assert summary["cfg_so_tol"] == "1e-10"
         assert summary["cfg_dtau"] == "0.05"
         assert summary["cfg_seed"] == "0"
 
@@ -170,6 +175,17 @@ class TestSweep:
             "--param", "seed", "--values", "1,2",
         ])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("model", ["haldane", "oracle-random"])
+    @pytest.mark.parametrize("param", ["J", "g"])
+    def test_coupling_sweep_on_fixed_model_usage_error(self, tmp_path, model,
+                                                       param):
+        code = main([
+            "sweep", "--model", model, "--outdir", str(tmp_path),
+            "--tag", "fixed", "--param", param, "--values", "0.1,0.2",
+        ])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "fixed_sweep.csv").exists()
 
     def test_failed_point_becomes_nan_row(self, tmp_path):
         # dtau 40 exceeds the default tau_max 32: the point is a usage error

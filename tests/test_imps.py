@@ -276,10 +276,9 @@ class TestCanonicalForm:
 
 
 class TestSchedule:
-    @pytest.mark.parametrize("so_tol", [0.0, -1.0, float("nan")])
-    def test_nonpositive_so_tol_rejected(self, so_tol):
-        with pytest.raises(ValueError, match="so_tol"):
-            EvolutionSchedule(dtau=0.2, tau_max=0.4, scheme="mpo", so_tol=so_tol)
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            EvolutionSchedule(dtau=0.2, tau_max=0.4, seed=-1)
 
 
 class TestRunEvolution:

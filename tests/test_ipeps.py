@@ -588,7 +588,7 @@ def _evolved_state(model, schedule, D_max):
     ]
     for _ in range(int(round(schedule.tau_max / schedule.dtau))):
         for a in range(dlat):
-            st, _ = apply_axis_mpo(st, mpos[a], a, D_max, schedule.so_tol)
+            st, _ = apply_axis_mpo(st, mpos[a], a, D_max)
     return st
 
 
