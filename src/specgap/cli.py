@@ -28,11 +28,20 @@ EXIT_NO_WINDOW = 2
 EXIT_NUMERIC = 3
 
 MODELS = ("tfim2d", "tfim3d", "haldane", "oracle-random")
+# the TFIM fields, which the models without couplings ignore
+TFIM_FIELDS = ("J", "g", "scheme")
+FIXED_MODELS = ("haldane", "oracle-random")
+
+
+def ignored_fields(model: str) -> tuple[str, ...]:
+    """The ``RunConfig`` fields that ``model`` does not read."""
+    return TFIM_FIELDS if model in FIXED_MODELS else ()
 
 
 @dataclass
 class RunConfig:
-    """Everything one run needs; defaults are echoed into the summary."""
+    """Everything one run needs; defaults are echoed into the summary,
+    except the fields the model ignores (``ignored_fields``)."""
 
     model: str = "tfim2d"
     J: float = 0.2
@@ -51,8 +60,6 @@ class RunConfig:
         cfg = replace(self)
         if cfg.model not in MODELS:
             raise ValueError(f"unknown model {cfg.model!r} (choose from {MODELS})")
-        if cfg.scheme not in ("mpo", "gates"):
-            raise ValueError("scheme must be 'mpo' or 'gates'")
         if cfg.dtau <= 0:
             cfg.dtau = 0.05 if (cfg.scheme == "gates" or cfg.model == "haldane") else 0.2
         if cfg.tau_max <= 0:
@@ -103,15 +110,9 @@ def _format(value) -> str:
     return str(value)
 
 
-def write_trace_csv(path: Path, trace: GapTrace) -> None:
-    lines = ["tau,C"]
-    lines += [f"{_format(t)},{_format(c)}" for t, c in zip(trace.taus, trace.cs)]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_derivative_csv(path: Path, taus_d, deriv) -> None:
-    lines = ["tau,dCdtau"]
-    lines += [f"{_format(t)},{_format(d)}" for t, d in zip(taus_d, deriv)]
+def write_csv(path: Path, header: str, rows) -> None:
+    lines = [header]
+    lines += [",".join(_format(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -207,9 +208,9 @@ def run(cfg: RunConfig) -> int:
         return EXIT_NUMERIC
     wall = time.perf_counter() - start
 
-    write_trace_csv(outdir / f"{cfg.tag}_trace.csv", trace)
+    write_csv(outdir / f"{cfg.tag}_trace.csv", "tau,C", zip(trace.taus, trace.cs))
     taus_d, deriv = estimator.numerical_derivative(estimator.drop_spikes(trace))
-    write_derivative_csv(outdir / f"{cfg.tag}_deriv.csv", taus_d, deriv)
+    write_csv(outdir / f"{cfg.tag}_deriv.csv", "tau,dCdtau", zip(taus_d, deriv))
 
     record = {
         "gap": est.gap,
@@ -224,7 +225,8 @@ def run(cfg: RunConfig) -> int:
         "wall_time_s": wall,
     }
     for f in fields(RunConfig):
-        record[f"cfg_{f.name}"] = getattr(cfg, f.name)
+        if f.name not in ignored_fields(cfg.model):
+            record[f"cfg_{f.name}"] = getattr(cfg, f.name)
     for key, val in extra.items():
         record[f"info_{key}"] = val
     write_summary(outdir / f"{cfg.tag}_summary.txt", record)
@@ -261,7 +263,7 @@ def sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if param in ("J", "g") and not cfg.model.startswith("tfim"):
+    if param in ignored_fields(cfg.model):
         print(f"error: {cfg.model} does not depend on {param}", file=sys.stderr)
         return EXIT_USAGE
     outdir = Path(cfg.outdir)
@@ -282,9 +284,7 @@ def sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
             rows.append((v, vals["gap"], vals["err"], vals["quality"]))
         else:
             rows.append((v, "nan", "nan", f"exit-{code}"))
-    lines = ["param,gap,err,quality"]
-    lines += [f"{v!r},{g},{e},{q}" for v, g, e, q in rows]
-    (outdir / f"{cfg.tag}_sweep.csv").write_text("\n".join(lines) + "\n")
+    write_csv(outdir / f"{cfg.tag}_sweep.csv", "param,gap,err,quality", rows)
     return worst
 
 
@@ -300,6 +300,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
+    """Config file overridden by flags; ValueError when a field the model
+    does not read is given."""
     kwargs: dict = {}
     if args.config:
         kwargs.update(_coerce(parse_config_file(args.config)))
@@ -307,7 +309,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         val = getattr(args, f.name, None)
         if val is not None:
             kwargs[f.name] = val
-    return RunConfig(**kwargs)
+    cfg = RunConfig(**kwargs)
+    unread = [name for name in ignored_fields(cfg.model) if name in kwargs]
+    if unread:
+        raise ValueError(f"{cfg.model} does not read {', '.join(unread)}")
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:

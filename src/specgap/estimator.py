@@ -103,7 +103,6 @@ class GapEstimate:
     quality: str
     error_bar: float = float("nan")
     derivative_fluctuation: float = float("nan")
-    n_points: int = 0
 
 
 def drop_spikes(trace: GapTrace) -> GapTrace:
@@ -239,18 +238,20 @@ def _rolling_mean(x: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def fit_gap(
+def estimate_gap(
     trace: GapTrace,
     window: tuple[float, float] | None = None,
 ) -> GapEstimate:
-    """Least-squares line through the linear window of C(tau).
+    """Spikes -> derivative -> window -> least-squares line through the
+    linear window of C(tau); gap = -slope.
 
-    gap = -slope.  Without an explicit ``window`` it is detected from the
-    trace: on a gate-scheme trace the derivative is first smoothed with a
-    ``GATES_FLATTEN``-wide rolling mean and the band is
-    ``GATES_WINDOW_REL_TOL``; any other trace uses the raw derivative and
-    ``WINDOW_REL_TOL``.  The fit and the fluctuation figure always use the
-    raw samples.  The error bar is max(std of the in-window derivative,
+    An explicit ``window`` = (tau_lo, tau_hi) skips the detection: the
+    line goes through the samples with tau_lo <= tau <= tau_hi.  Without
+    one the window is detected from the trace: on a gate-scheme trace the
+    derivative is first smoothed with a ``GATES_FLATTEN``-wide rolling
+    mean and the band is ``GATES_WINDOW_REL_TOL``; any other trace uses
+    the raw derivative and ``WINDOW_REL_TOL``.  The fit and the
+    fluctuation figure always use the raw samples.  The error bar is max(std of the in-window derivative,
     gap difference between the two window halves), catching residual
     curvature the standard deviation misses.  derivative_fluctuation is
     the std of the in-window derivative after removing its linear trend:
@@ -311,10 +312,5 @@ def fit_gap(
     return GapEstimate(
         gap=gap, intercept=float(intercept), window=(float(lo), float(hi)),
         derivative_std=dstd, quality=quality, error_bar=float(err),
-        derivative_fluctuation=fluct, n_points=int(t.size),
+        derivative_fluctuation=fluct,
     )
-
-
-def estimate_gap(trace: GapTrace) -> GapEstimate:
-    """One-shot: spikes -> derivative -> window -> fit."""
-    return fit_gap(trace)

@@ -267,7 +267,6 @@ class EvolutionSchedule:
     scheme: str = "gates"
     D_max: int = 8
     seed: int = 0
-    so_every: int = 10
 
     def __post_init__(self):
         if self.dtau <= 0:

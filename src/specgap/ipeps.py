@@ -39,7 +39,7 @@ import numpy as np
 from .estimator import GapTrace, record_trace
 from .imps import EvolutionSchedule, bond_gate
 from .models import (LatticeSpec, Model, OperatorTerms, bond_hamiltonian,
-                     split_hamiltonian)
+                     hypercubic, split_hamiltonian)
 from .tensor import (add_work, einsum2, pinv_weights, psd_factor, qr_counted,
                      truncated_svd, warn_below_floor, warn_imaginary)
 from .wii import Mpo, build_wii, hamiltonian_line_mpo
@@ -214,13 +214,6 @@ def _leg_pair(bra: np.ndarray, ket: np.ndarray, leg: int) -> np.ndarray:
     return np.matmul(b3.transpose(2, 1, 0), k3.transpose(2, 0, 1)).sum(axis=0)
 
 
-def _gram(state: IPepsState, site: int, leg: int) -> np.ndarray:
-    """Mean-field bond environment N[b,b'] of (site, leg): all other legs
-    closed with their squared weights, physical index summed."""
-    t = _scaled_tensor(state, site, skip_leg=leg)
-    return _leg_pair(t.conj(), t, leg)
-
-
 def _apply_on_leg(
     t: np.ndarray, leg: int, g: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -242,8 +235,10 @@ def _apply_on_leg(
 
 
 def _all_grams(state: IPepsState) -> dict[tuple[int, int], np.ndarray]:
-    """``_gram`` of every bond end, in bond order; the other axes' weights
-    are absorbed once per (site, axis), the partner leg's per end."""
+    """Mean-field bond environment N[b,b'] of every bond end (site, leg),
+    in bond order: every other leg closed with its squared weight, the
+    physical index summed.  The other axes' weights are absorbed once per
+    (site, axis), the partner leg's per end."""
     lam = _leg_weights(state)
     bufs = [(np.empty_like(t), np.empty_like(t)) for t in state.tensors]
     grams = {}
@@ -332,6 +327,8 @@ MESSAGE_ANDERSON_START = 1e-3
 SO_MAX_PASSES = 200
 # residual at which a gauge fix stops, and the message fixed point's tolerance
 SO_TOL = 1e-10
+# gate-scheme steps between two gauge fixes
+GATES_SO_EVERY = 10
 
 
 def _anderson_mix(fs: list[np.ndarray], gs: list[np.ndarray]) -> np.ndarray:
@@ -729,9 +726,10 @@ def run_evolution_peps(
     """Imaginary-time simple update recording C(tau) = ln|<i[H,O]>| per cell.
 
     gates scheme: second-order Trotter over the checkerboard bond classes
-    (forward then reverse half steps), gauge-fixed every ``so_every``
-    steps.  mpo scheme: one axis propagator after another on the
-    single-site cell, superorthogonalizing at every application.
+    (forward then reverse half steps), gauge-fixed every
+    ``GATES_SO_EVERY`` steps.  mpo scheme: one axis propagator after
+    another on the single-site cell, superorthogonalizing at every
+    application.
     """
     dlat = model.lattice.dimension
     if dlat < 2:
@@ -741,8 +739,7 @@ def run_evolution_peps(
     dtau = schedule.dtau
 
     if schedule.scheme == "mpo":
-        lattice = LatticeSpec(dlat, 2 * dlat, "single-site", model.lattice.axes)
-        state = random_product_ipeps(lattice, schedule.seed)
+        state = random_product_ipeps(hypercubic(dlat), schedule.seed)
         mpos = [
             build_wii(hamiltonian_line_mpo(bond_h[a], site_h, 1.0 / dlat), dtau, a)
             for a in range(dlat)
@@ -754,8 +751,9 @@ def run_evolution_peps(
             return st
 
     else:
-        lattice = LatticeSpec(dlat, 2 * dlat, "two-site-checkerboard", model.lattice.axes)
-        state = random_product_ipeps(lattice, schedule.seed)
+        state = random_product_ipeps(
+            hypercubic(dlat, "two-site-checkerboard"), schedule.seed
+        )
         z = model.lattice.connectivity
         half_gates = [
             bond_gate(bond_hamiltonian(site_h, bond_h[a], z), dtau / 2.0)
@@ -766,7 +764,7 @@ def run_evolution_peps(
         def advance(st, step):
             for b in order + order[::-1]:
                 st, _ = simple_update_bond(st, half_gates[b.axis], b, D_max)
-            if schedule.so_every and step % schedule.so_every == 0:
+            if step % GATES_SO_EVERY == 0:
                 st, _ = superorthogonalize(st, SO_TOL, SO_MAX_PASSES)
             return st
 
@@ -778,7 +776,6 @@ def run_evolution_peps(
         "seed": schedule.seed,
         "measure_every": schedule.measure_every,
         "tau_max": schedule.tau_max,
-        "so_every": schedule.so_every if schedule.scheme == "gates" else 1,
         **model.params,
     }
     return record_trace(

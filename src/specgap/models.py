@@ -16,36 +16,38 @@ import numpy as np
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-ID2 = np.eye(2)
 
 _S = 1.0 / np.sqrt(2.0)
 SPIN1_X = _S * np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 SPIN1_Y = _S * np.array([[0.0, -1.0j, 0.0], [1.0j, 0.0, -1.0j], [0.0, 1.0j, 0.0]])
 SPIN1_Z = np.diag([1.0, 0.0, -1.0])
-ID3 = np.eye(3)
 
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Hypercubic lattice: dimension d, connectivity z = 2d, unit cell kind."""
+    """Hypercubic lattice: dimension d and unit cell kind."""
 
     dimension: int
-    connectivity: int
     unit_cell: str  # "single-site" | "two-site-checkerboard"
-    axes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.connectivity != 2 * self.dimension:
-            raise ValueError("connectivity must equal 2 * dimension")
         if self.unit_cell not in ("single-site", "two-site-checkerboard"):
             raise ValueError(f"unknown unit cell {self.unit_cell!r}")
 
+    @property
+    def connectivity(self) -> int:
+        """Coordination number z = 2d."""
+        return 2 * self.dimension
+
+    @property
+    def axes(self) -> tuple[tuple[int, ...], ...]:
+        """Unit vectors of the d positive axes."""
+        d = self.dimension
+        return tuple(tuple(1 if j == a else 0 for j in range(d)) for a in range(d))
+
 
 def hypercubic(dimension: int, unit_cell: str = "single-site") -> LatticeSpec:
-    axes = tuple(
-        tuple(1 if j == a else 0 for j in range(dimension)) for a in range(dimension)
-    )
-    return LatticeSpec(dimension, 2 * dimension, unit_cell, axes)
+    return LatticeSpec(dimension, unit_cell)
 
 
 @dataclass(frozen=True)
@@ -73,18 +75,6 @@ class OperatorTerms:
             defect = np.max(np.abs(t.matrix - t.matrix.conj().T))
             if defect > tol * max(1.0, np.max(np.abs(t.matrix))):
                 raise ValueError(f"term on {t.sites} is not Hermitian ({defect:.2e})")
-
-
-@dataclass(frozen=True)
-class ModelConstants:
-    """Critical couplings for reporting only; never used in any computation."""
-
-    tfim2d_gc_over_j: float = 3.04438
-    tfim2d_jc_at_g1: float = 0.329
-    tfim3d_jc_estimates: tuple[float, float] = (0.188, 0.194)
-
-
-CONSTANTS = ModelConstants()
 
 
 @dataclass

@@ -17,7 +17,17 @@ import numpy as np
 
 from .tensor import add_work
 
+# largest matrix ``spectral_decompose`` accepts
 ORACLE_DIM_CAP = 4096
+# relative tolerance of the Hermiticity check, on the largest entry (or 1)
+HERMITIAN_TOL = 1e-12
+# eigenvalues closer than this fraction of the spectral range share a level
+DEGENERACY_REL_TOL = 1e-10
+# a witness element is nonzero when its imaginary part exceeds this
+# fraction of the observable's spectral norm
+IMAG_REL_TOL = 1e-10
+# samples of the default slope-check tau grid
+TAU_GRID_POINTS = 50
 
 
 class UnderflowError(ArithmeticError):
@@ -36,8 +46,9 @@ class SpectralDecomposition:
     def n_levels(self) -> int:
         return self.energies.size
 
-    def gap(self, upper: int = 1) -> float:
-        return float(self.energies[upper] - self.energies[0])
+    def gap(self) -> float:
+        """First gap E1 - E0."""
+        return float(self.energies[1] - self.energies[0])
 
     def defects(self, h: np.ndarray | None = None) -> dict[str, float]:
         """Max deviations from orthogonality, completeness, eigen-relation."""
@@ -58,34 +69,30 @@ class SpectralDecomposition:
         return out
 
 
-def _check_hermitian(h: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _check_hermitian(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("expected a square matrix")
     scale = max(1.0, float(np.max(np.abs(h))))
-    if float(np.max(np.abs(h - h.conj().T))) > tol * scale:
+    if float(np.max(np.abs(h - h.conj().T))) > HERMITIAN_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return h
 
 
-def spectral_decompose(
-    h: np.ndarray,
-    degeneracy_tol: float | None = None,
-    dim_cap: int = ORACLE_DIM_CAP,
-) -> SpectralDecomposition:
+def spectral_decompose(h: np.ndarray) -> SpectralDecomposition:
     """Eigenvalues clustered into levels, with one projector per level.
 
-    Eigenvalues closer than ``degeneracy_tol`` (default 1e-10 times the
-    spectral range) belong to one level and share a projector.
+    Eigenvalues closer than ``DEGENERACY_REL_TOL`` times the spectral range
+    belong to one level and share a projector.  A matrix larger than
+    ``ORACLE_DIM_CAP`` is rejected.
     """
     h = _check_hermitian(h)
     n = h.shape[0]
-    if n > dim_cap:
-        raise ValueError(f"dimension {n} exceeds oracle cap {dim_cap}")
+    if n > ORACLE_DIM_CAP:
+        raise ValueError(f"dimension {n} exceeds oracle cap {ORACLE_DIM_CAP}")
     w, v = np.linalg.eigh(h)
     add_work(9.0 * n**3)
-    if degeneracy_tol is None:
-        degeneracy_tol = 1e-10 * float(w[-1] - w[0])
+    degeneracy_tol = DEGENERACY_REL_TOL * float(w[-1] - w[0])
     energies = []
     projectors = []
     start = 0
@@ -230,23 +237,17 @@ class OverlapClass:
     m02: complex | None
 
 
-def _operator_scale(O: np.ndarray) -> float:
-    return float(np.linalg.norm(O, 2))
-
-
 def classify_overlap(
     d: SpectralDecomposition,
     O: np.ndarray,
     phi0: np.ndarray,
-    imag_tol: float | None = None,
 ) -> OverlapClass:
     """First-gap / second-gap / neither, by the imaginary parts of the
     ground-to-excited witness elements <phi0|P0 O P1|phi0> and ... P2 ..."""
     if d.n_levels < 2:
         raise ValueError("classification needs at least 2 levels")
     O = np.asarray(O)
-    if imag_tol is None:
-        imag_tol = 1e-10 * _operator_scale(O)
+    imag_tol = IMAG_REL_TOL * float(np.linalg.norm(O, 2))
     amps = _level_amplitudes(d, phi0)
     oa = [O @ a for a in amps]
     m01 = complex(np.vdot(amps[0], oa[1]))
@@ -258,12 +259,12 @@ def classify_overlap(
     return OverlapClass(OverlapKind.NEITHER, m01, m02)
 
 
-def default_tau_grid(d: SpectralDecomposition, n_points: int = 50) -> np.ndarray:
+def default_tau_grid(d: SpectralDecomposition) -> np.ndarray:
     """tau in [10, 20] / (E2 - E1): the subleading factor is <= e^-10 there."""
     if d.n_levels < 3:
         raise ValueError("default window needs at least 3 levels")
     sep = float(d.energies[2] - d.energies[1])
-    return np.linspace(10.0 / sep, 20.0 / sep, n_points)
+    return np.linspace(10.0 / sep, 20.0 / sep, TAU_GRID_POINTS)
 
 
 def theorem1_slope_check(

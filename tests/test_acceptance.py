@@ -12,7 +12,7 @@ import numpy as np
 
 from specgap import tensor
 from specgap.cli import main as cli_main
-from specgap.estimator import estimate_gap, fit_gap
+from specgap.estimator import estimate_gap
 from specgap.imps import (
     EvolutionSchedule,
     final_state_1d,
@@ -113,7 +113,7 @@ def test_criterion_2_exact_limits():
 
     sch1 = EvolutionSchedule(dtau=0.05, tau_max=9.0, D_max=2, seed=3)
     tr = run_evolution_1d(tfim_chain_model(0.0, 1.0), sch1, D_max=2, seed=3)
-    errs["1d-tebd"] = abs(fit_gap(tr, window=(6.0, 8.0)).gap - 2.0)
+    errs["1d-tebd"] = abs(estimate_gap(tr, window=(6.0, 8.0)).gap - 2.0)
     for dim in (2, 3):
         for scheme in ("mpo", "gates"):
             m = tfim_model(dim, 0.0, 1.0)
@@ -121,7 +121,7 @@ def test_criterion_2_exact_limits():
                 dtau=0.05, tau_max=9.0, scheme=scheme, D_max=2, seed=3
             )
             tr = run_evolution_peps(m, sch, D_max=2)
-            errs[f"{dim}d-{scheme}"] = abs(fit_gap(tr, window=(6.0, 8.0)).gap - 2.0)
+            errs[f"{dim}d-{scheme}"] = abs(estimate_gap(tr, window=(6.0, 8.0)).gap - 2.0)
     j_zero_worst = max(errs.values())
 
     # ferromagnetic limits: the bond gates commute at g=0, so the step
@@ -130,17 +130,17 @@ def test_criterion_2_exact_limits():
     # below e^-12 and the signal is still above the noise floor
     m = tfim_model(2, 1.0, 0.0)
     sch = EvolutionSchedule(
-        dtau=0.05, tau_max=2.3, scheme="gates", D_max=2, seed=3, so_every=0
+        dtau=0.05, tau_max=2.3, scheme="gates", D_max=2, seed=3
     )
     tr = run_evolution_peps(m, sch, D_max=2)
-    err_8j = abs(fit_gap(tr, window=(12 / 8, 16 / 8)).gap - 8.0)
+    err_8j = abs(estimate_gap(tr, window=(12 / 8, 16 / 8)).gap - 8.0)
 
     m = tfim_model(3, 1.0, 0.0)
     sch = EvolutionSchedule(
-        dtau=0.05, tau_max=1.7, scheme="gates", D_max=2, seed=3, so_every=0
+        dtau=0.05, tau_max=1.7, scheme="gates", D_max=2, seed=3
     )
     tr = run_evolution_peps(m, sch, D_max=2)
-    err_12j = abs(fit_gap(tr, window=(12 / 12, 16 / 12)).gap - 12.0)
+    err_12j = abs(estimate_gap(tr, window=(12 / 12, 16 / 12)).gap - 12.0)
     elapsed = time.perf_counter() - start
 
     ok = j_zero_worst < 1e-8 and err_8j < 1e-6 and err_12j < 1e-6

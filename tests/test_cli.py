@@ -54,6 +54,23 @@ class TestConfig:
         assert code == EXIT_USAGE
         assert not (tmp_path / f"{model}_summary.txt").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("field, value",
+                             [("J", "0.3"), ("g", "0.5"), ("scheme", "gates")])
+    @pytest.mark.parametrize("model", ["haldane", "oracle-random"])
+    def test_unread_field_usage_error(self, tmp_path, model, field, value,
+                                      source):
+        args = ["run", "--model", model, "--D", "4", "--tau_max", "0.4",
+                "--outdir", str(tmp_path)]
+        if source == "flag":
+            args += [f"--{field}", value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{field} = {value}\n")
+            args += ["--config", str(cfg)]
+        assert main(args) == EXIT_USAGE
+        assert not (tmp_path / f"{model}_summary.txt").exists()
+
     def test_scheme_defaults_resolved(self):
         cfg = RunConfig(model="tfim2d", scheme="gates").resolve()
         assert cfg.dtau == 0.05
@@ -78,6 +95,8 @@ class TestRun:
         assert abs(float(summary["gap"]) - 2.0) < 1e-3
         # the echoed config carries every resolved default
         assert summary["cfg_model"] == "tfim2d"
+        assert summary["cfg_J"] == "0.0"
+        assert summary["cfg_scheme"] == "mpo"
         assert summary["cfg_dtau"] == "0.05"
         assert summary["cfg_seed"] == "0"
 
@@ -112,6 +131,9 @@ class TestRun:
         gap = float(summary["gap"])
         exact = float(summary["info_exact_gap"])
         assert abs(gap - exact) < 5e-3 * exact
+        # the dense oracle reads neither couplings nor a scheme
+        for name in ("J", "g", "scheme"):
+            assert f"cfg_{name}" not in summary
 
     def test_oracle_random_measure_every(self, tmp_path):
         base = [

@@ -10,7 +10,6 @@ from specgap.estimator import (
     detect_linear_window,
     drop_spikes,
     estimate_gap,
-    fit_gap,
     numerical_derivative,
     record_trace,
 )
@@ -142,7 +141,7 @@ class TestFit:
         assert e.gap == pytest.approx(2.0, abs=1e-10)
 
     def test_explicit_window(self):
-        e = fit_gap(line_trace(), window=(2.0, 5.0))
+        e = estimate_gap(line_trace(), window=(2.0, 5.0))
         assert e.window == (2.0, 5.0)
         assert e.gap == pytest.approx(2.0, abs=1e-12)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specgap import imps
-from specgap.estimator import estimate_gap, fit_gap
+from specgap.estimator import estimate_gap
 from specgap.imps import (
     EvolutionSchedule,
     IMpsState,
@@ -304,7 +304,7 @@ class TestRunEvolution:
         m = tfim_chain_model(0.0, 1.0)
         sch = EvolutionSchedule(dtau=0.05, tau_max=9.0, D_max=2, seed=3)
         tr = run_evolution_1d(m, sch, D_max=2, seed=3)
-        e = fit_gap(tr, window=(6.0, 8.0))
+        e = estimate_gap(tr, window=(6.0, 8.0))
         assert e.gap == pytest.approx(2.0, abs=1e-8)
 
     def test_wrong_dimension_rejected(self):

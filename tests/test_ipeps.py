@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from specgap import ipeps
-from specgap.estimator import fit_gap
+from specgap.estimator import estimate_gap
 from specgap.imps import EvolutionSchedule, bond_gate
 from specgap.ipeps import (
     apply_axis_mpo,
@@ -191,33 +191,25 @@ class TestLegKernels:
             assert rel_err(got, brute_dressed_gram(t, leg, closures)) <= 1e-12
 
     @KERNEL_CASES
-    def test_gram(self, shape, dtype):
-        st = kernel_state(shape, 7, dtype)
+    def test_all_grams_match_per_leg_gram(self, shape, dtype):
+        st = kernel_state(shape, 9, dtype)
         t = st.tensors[0]
-        for leg in range(1, t.ndim):
+        before = work_count()
+        got = ipeps._all_grams(st)
+        ends = [e for b in bond_list(st)
+                for e in ((b.i_site, b.i_leg), (b.j_site, b.j_leg))]
+        assert list(got) == ends
+        madds = sum(t.size * t.shape[leg] for _, leg in ends)
+        assert work_count() - before == madds
+        for end in ends:
+            leg = end[1]
             # the weight-squared closure of every other leg
             closures = {
                 l: np.diag(st.lams[(l - 1) // 2] ** 2)
                 for l in range(1, t.ndim) if l != leg
             }
-            before = work_count()
-            got = ipeps._gram(st, 0, leg)
-            assert work_count() - before == t.size * t.shape[leg]
-            assert rel_err(got, brute_dressed_gram(t, leg, closures)) <= 1e-12
-
-    @KERNEL_CASES
-    def test_all_grams_match_per_leg_gram(self, shape, dtype):
-        st = kernel_state(shape, 9, dtype)
-        before = work_count()
-        got = ipeps._all_grams(st)
-        mid = work_count()
-        ref = {end: ipeps._gram(st, *end) for end in got}
-        assert work_count() - mid == mid - before
-        ends = [e for b in bond_list(st)
-                for e in ((b.i_site, b.i_leg), (b.j_site, b.j_leg))]
-        assert list(got) == ends
-        for end in ends:
-            assert rel_err(got[end], ref[end]) <= 1e-13
+            ref = brute_dressed_gram(t, leg, closures)
+            assert rel_err(got[end], ref) <= 1e-12
 
 
 # a 2D single-site state with an MPO-enlarged axis, a 3D single-site
@@ -575,12 +567,9 @@ class TestExpectation:
 
 def _evolved_state(model, schedule, D_max):
     """Short evolution returning the final state (mpo scheme)."""
-    from specgap.models import LatticeSpec
-
     dlat = model.lattice.dimension
     site_h, bond_h = split_hamiltonian(model.hamiltonian, dlat)
-    lattice = LatticeSpec(dlat, 2 * dlat, "single-site", model.lattice.axes)
-    st = random_product_ipeps(lattice, schedule.seed)
+    st = random_product_ipeps(hypercubic(dlat), schedule.seed)
     mpos = [
         build_wii(hamiltonian_line_mpo(bond_h[a], site_h, 1.0 / dlat),
                   schedule.dtau, a)
@@ -634,7 +623,7 @@ class TestRunEvolution:
             sch = EvolutionSchedule(dtau=0.05, tau_max=9.0, scheme=scheme,
                                     D_max=2, seed=3)
             tr = run_evolution_peps(m, sch, D_max=2)
-            e = fit_gap(tr, window=(6.0, 8.0))
+            e = estimate_gap(tr, window=(6.0, 8.0))
             assert e.gap == pytest.approx(2.0, abs=1e-8), scheme
 
     def test_one_dimensional_rejected(self):

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from specgap.models import (
-    CONSTANTS,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -205,9 +204,3 @@ class TestEmbedding:
         t = OperatorTerms([LocalTerm(((0,), (1,), (2,)), np.eye(27))], 3)
         with pytest.raises(ValueError, match="wraps"):
             terms_to_dense(t, (2,))
-
-
-def test_reported_constants_are_metadata():
-    assert CONSTANTS.tfim2d_gc_over_j == pytest.approx(3.04438)
-    assert CONSTANTS.tfim2d_jc_at_g1 == pytest.approx(0.329)
-    assert CONSTANTS.tfim3d_jc_estimates == (0.188, 0.194)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from specgap import oracle
 from specgap.models import PAULI_X, PAULI_Y, PAULI_Z
 from specgap.oracle import (
     OverlapKind,
@@ -79,9 +80,10 @@ class TestSpectralDecompose:
         with pytest.raises(ValueError, match="Hermitian"):
             spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "ORACLE_DIM_CAP", 4)
         with pytest.raises(ValueError, match="cap"):
-            spectral_decompose(np.eye(8), dim_cap=4)
+            spectral_decompose(np.eye(8))
 
 
 class TestEvolveExact:
