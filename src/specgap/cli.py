@@ -47,10 +47,10 @@ class RunConfig:
     J: float = 0.2
     g: float = 1.0
     scheme: str = "mpo"     # peps models only: mpo | gates
-    D: int = -1             # bond dimension (oracle-random: Hilbert dimension);
-                            # <= 0 picks the per-model default
-    dtau: float = -1.0      # <= 0 picks the per-scheme default (0.2 mpo, 0.05 gates)
-    tau_max: float = -1.0   # <= 0 picks a per-model default
+    D: int | None = None          # bond dimension (oracle-random: Hilbert
+                                  # dimension); unset picks the per-model default
+    dtau: float | None = None     # unset picks the per-scheme default (0.2 mpo, 0.05 gates)
+    tau_max: float | None = None  # unset picks a per-model default
     measure_every: int = 1
     seed: int = 0
     outdir: str = "."
@@ -60,11 +60,11 @@ class RunConfig:
         cfg = replace(self)
         if cfg.model not in MODELS:
             raise ValueError(f"unknown model {cfg.model!r} (choose from {MODELS})")
-        if cfg.dtau <= 0:
+        if cfg.dtau is None:
             cfg.dtau = 0.05 if (cfg.scheme == "gates" or cfg.model == "haldane") else 0.2
-        if cfg.tau_max <= 0:
+        if cfg.tau_max is None:
             cfg.tau_max = {"haldane": 25.0, "oracle-random": 30.0}.get(cfg.model, 32.0)
-        if cfg.D <= 0:
+        if cfg.D is None:
             cfg.D = {"tfim2d": 8, "tfim3d": 4, "haldane": 32,
                      "oracle-random": 10}[cfg.model]
         if not cfg.tag:
@@ -89,18 +89,14 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
+def _parser(f) -> type:
+    """How a flag or config value of ``RunConfig`` field ``f`` is read."""
+    return {"int": int, "float": float}.get(f.type.removesuffix(" | None"), str)
+
+
 def _coerce(cfg_kwargs: dict) -> dict:
-    out = {}
-    types = {f.name: f.type for f in fields(RunConfig)}
-    for key, val in cfg_kwargs.items():
-        t = types[key]
-        if t == "int":
-            out[key] = int(val)
-        elif t == "float":
-            out[key] = float(val)
-        else:
-            out[key] = str(val)
-    return out
+    parsers = {f.name: _parser(f) for f in fields(RunConfig)}
+    return {key: parsers[key](val) for key, val in cfg_kwargs.items()}
 
 
 def _format(value) -> str:
@@ -291,12 +287,7 @@ def sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
     for f in fields(RunConfig):
-        if f.type == "int":
-            p.add_argument(f"--{f.name}", type=int)
-        elif f.type == "float":
-            p.add_argument(f"--{f.name}", type=float)
-        else:
-            p.add_argument(f"--{f.name}")
+        p.add_argument(f"--{f.name}", type=_parser(f))
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:

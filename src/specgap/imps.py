@@ -275,6 +275,8 @@ class EvolutionSchedule:
             raise ValueError("tau_max must be at least dtau")
         if self.measure_every < 1:
             raise ValueError("measure_every must be >= 1")
+        if self.D_max < 1:
+            raise ValueError("D_max must be >= 1")
         if self.scheme not in ("gates", "mpo"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.seed < 0:

@@ -296,7 +296,7 @@ class SuperorthResult:
     residual: float
     iterations: int
     converged: bool
-    sweeps: int = 0
+    sweeps: int
 
 
 def _hermitian_pair(bra: np.ndarray, ket: np.ndarray, leg: int) -> np.ndarray:
@@ -323,10 +323,14 @@ MESSAGE_ANDERSON_DEPTH = 5
 # sweep, one that plain sweeps move away from, and the gauge and the
 # fitted gap would follow it
 MESSAGE_ANDERSON_START = 1e-3
-# cap on the passes of one gauge fix
-SO_MAX_PASSES = 200
+# passes of one gauge fix: the gauge at the message fixed point, then one
+# pass that polishes its rounding; further passes stay at the same floor
+SO_MAX_PASSES = 2
 # residual at which a gauge fix stops, and the message fixed point's tolerance
 SO_TOL = 1e-10
+# a gauge fix that ends above this residual warns; below it lies the
+# numerical floor that the weight spread of enlarged bonds sets
+SO_WARN_RESIDUAL = 1e-6
 # gate-scheme steps between two gauge fixes
 GATES_SO_EVERY = 10
 
@@ -449,27 +453,24 @@ def superorthogonalize(
     so_tol: float = SO_TOL,
     max_iter: int = SO_MAX_PASSES,
 ) -> tuple[IPepsState, SuperorthResult]:
-    """Iterative gauge fixing toward the superorthogonal form.
+    """Gauge fixing toward the superorthogonal form in at most ``max_iter``
+    passes.
 
     Each pass solves the bond environments self-consistently (message
     iteration) and then rotates every bond so both of its environments
     become the identity; the inserted maps and the new weights multiply
     back to the old weights, so the state itself never changes.  Stops at
-    residual ``so_tol`` (also the message iteration's tolerance), at
-    ``max_iter`` passes, or when the residual stalls at its
-    numerical floor; non-convergence is flagged on the result and the best
-    iterate is returned.
+    residual ``so_tol`` (also the message iteration's tolerance) or after
+    ``max_iter`` passes; non-convergence is flagged on the result and the
+    last iterate is returned.
     """
     st = state.copy()
-    prev = np.inf
     grams = _all_grams(st)
     _rescale_sites(st, grams)
     residual = _residual_from_grams(st, grams)
     iterations = 0
     sweeps = 0
-    for it in range(max_iter):
-        if residual <= so_tol:
-            break
+    while iterations < max_iter and residual > so_tol:
         msgs, n_sweeps = _message_fixed_point(st, tol=so_tol)
         sweeps += n_sweeps
         for b in bond_list(st):
@@ -488,14 +489,9 @@ def superorthogonalize(
         grams = _all_grams(st)
         _rescale_sites(st, grams)
         residual = _residual_from_grams(st, grams)
-        iterations = it + 1
-        if residual > 0.5 * prev and residual > so_tol:
-            break
-        prev = residual
+        iterations += 1
     converged = residual <= so_tol
-    # stalls at the numerical floor (weight-spread conditioned) are benign;
-    # only a residual far above it signals a genuinely failed gauge fix
-    if not converged and residual > max(100.0 * so_tol, 1e-6):
+    if residual > SO_WARN_RESIDUAL:
         warnings.warn(
             f"superorthogonalization stalled at residual {residual:.2e}",
             RuntimeWarning,

@@ -71,6 +71,25 @@ class TestConfig:
         assert main(args) == EXIT_USAGE
         assert not (tmp_path / f"{model}_summary.txt").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("field, value",
+                             [("dtau", "-0.1"), ("D", "0"), ("tau_max", "0")])
+    @pytest.mark.parametrize("model", ["tfim2d", "tfim3d", "haldane",
+                                       "oracle-random"])
+    def test_nonpositive_value_usage_error(self, tmp_path, model, field,
+                                           value, source):
+        # a non-positive value is an error, not a request for the default
+        settings = {"D": "2", "tau_max": "0.4", field: value}
+        if source == "flag":
+            args = [a for k, v in settings.items() for a in (f"--{k}", v)]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+            args = ["--config", str(cfg)]
+        code = main(["run", "--model", model, "--outdir", str(tmp_path)] + args)
+        assert code == EXIT_USAGE
+        assert not (tmp_path / f"{model}_summary.txt").exists()
+
     def test_scheme_defaults_resolved(self):
         cfg = RunConfig(model="tfim2d", scheme="gates").resolve()
         assert cfg.dtau == 0.05
@@ -230,6 +249,16 @@ class TestSweep:
         assert not stale.exists()
         rows = (tmp_path / "old_sweep.csv").read_text().splitlines()
         assert rows[1] == "40.0,nan,nan,exit-1"
+
+    def test_nonpositive_D_point_becomes_exit_1_row(self, tmp_path):
+        code = main([
+            "sweep", "--model", "tfim2d", "--tau_max", "0.4", "--outdir",
+            str(tmp_path), "--tag", "d0", "--param", "D", "--values", "0",
+        ])
+        assert code == EXIT_USAGE
+        rows = (tmp_path / "d0_sweep.csv").read_text().splitlines()
+        assert rows == ["param,gap,err,quality", "0.0,nan,nan,exit-1"]
+        assert not (tmp_path / "d0_D0_summary.txt").exists()
 
     def test_non_integer_D_usage_error(self, tmp_path):
         code = main([

@@ -429,6 +429,17 @@ class TestSuperorthogonalize:
         assert len(counts) == info.iterations > 1
         assert info.sweeps == sum(counts)
 
+    def test_at_most_two_passes(self, monkeypatch):
+        inner = ipeps._message_fixed_point
+
+        def loose(st, tol):
+            # loose messages leave a residual that further passes would cut
+            return inner(st, 1e-4)
+
+        monkeypatch.setattr(ipeps, "_message_fixed_point", loose)
+        _, info = superorthogonalize(random_d2_state(0), so_tol=1e-10)
+        assert info.iterations == ipeps.SO_MAX_PASSES == 2
+
     def test_unconverged_messages_warn(self, monkeypatch):
         monkeypatch.setattr(ipeps, "MESSAGE_MAX_SWEEPS", 1)
         with pytest.warns(RuntimeWarning, match="message fixed point unconverged"):
