@@ -26,6 +26,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_WINDOW = 2
 EXIT_NUMERIC = 3
+# exit codes from worst to best: the code a sweep takes from its points
+EXIT_RANK = (EXIT_USAGE, EXIT_NUMERIC, EXIT_NO_WINDOW, EXIT_OK)
 
 MODELS = ("tfim2d", "tfim3d", "haldane", "oracle-random")
 # the TFIM fields, which the models without couplings ignore
@@ -48,7 +50,7 @@ class RunConfig:
     g: float = 1.0
     scheme: str = "mpo"     # peps models only: mpo | gates
     D: int | None = None          # bond dimension (oracle-random: Hilbert
-                                  # dimension); unset picks the per-model default
+                                  # dimension >= 2); unset picks the per-model default
     dtau: float | None = None     # unset picks the per-scheme default (0.2 mpo, 0.05 gates)
     tau_max: float | None = None  # unset picks a per-model default
     measure_every: int = 1
@@ -120,7 +122,7 @@ def write_summary(path: Path, record: dict) -> None:
 def _oracle_random_trace(cfg: RunConfig) -> tuple[GapTrace, dict]:
     """Seeded random dense instance evolved exactly on a tau grid."""
     rng = np.random.default_rng(cfg.seed)
-    dim = max(int(cfg.D), 4)
+    dim = int(cfg.D)
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = (a + a.conj().T) / 2.0
     d = oracle.spectral_decompose(h)
@@ -165,6 +167,8 @@ def build_model(cfg: RunConfig) -> models.Model | None:
     """Lattice model of a resolved config (None for the dense oracle);
     ValueError when its parameters are invalid."""
     if cfg.model == "oracle-random":
+        if cfg.D < 2:
+            raise ValueError("oracle-random needs a Hilbert dimension D >= 2")
         return None
     if cfg.model == "haldane":
         return models.haldane_model()
@@ -178,7 +182,7 @@ def execute_run(
     extra: dict = {}
     if model is None:
         trace, extra = _oracle_random_trace(cfg)
-    elif model.lattice.dimension == 1:
+    elif model.dimension == 1:
         trace = run_evolution_1d(model, schedule, cfg.D, cfg.seed)
     else:
         trace = run_evolution_peps(model, schedule, cfg.D)
@@ -243,7 +247,8 @@ def sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
 
     A point that fails (usage error or numeric failure) becomes a row with
     gap nan and its exit status as the quality; the sweep returns the
-    worst exit code of its points.
+    worst exit code of its points, ranked usage error (1) > numeric
+    failure (3) > no linear window (2) > fitted (0).
     """
     if not values:
         print("error: empty sweep grid", file=sys.stderr)
@@ -272,7 +277,7 @@ def sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
         summary = outdir / f"{sub.tag}_summary.txt"
         summary.unlink(missing_ok=True)
         code = run(sub)
-        worst = max(worst, code)
+        worst = min(worst, code, key=EXIT_RANK.index)
         if code in (EXIT_OK, EXIT_NO_WINDOW):
             vals = dict(
                 line.split("=", 1) for line in summary.read_text().splitlines()

@@ -305,10 +305,10 @@ def _setup_1d(
     ``recanonicalize`` per sweep keeps the closure (and with it every
     measurement) exact.
     """
-    if model.lattice.dimension != 1:
+    if model.dimension != 1:
         raise ValueError("a 1D evolution needs a one-dimensional model")
     site, (bond,) = split_hamiltonian(model.hamiltonian, 1)
-    h = bond_hamiltonian(site, bond, model.lattice.connectivity)
+    h = bond_hamiltonian(site, bond, 2 * model.dimension)
     g_half = bond_gate(h, schedule.dtau / 2.0)
     g_full = bond_gate(h, schedule.dtau)
 

@@ -2,11 +2,15 @@
 
 Site tensors carry one physical and z = 2d virtual legs in the fixed order
 (p, +x, -x, +y, -y[, +z, -z]); diagonal bond weights live on every
-inequivalent bond.  Two evolution schemes are provided:
+inequivalent bond.  The state describes itself: the lattice dimension d is
+read off the tensor rank, and the unit cell is the number of site tensors,
+one (uniform) or two (checkerboard).  Site s links along every axis to
+site (s + 1) mod n, so each cell has one bond per (axis, site) pair.  Two
+evolution schemes are provided:
 
-* gates -- Trotterized two-site gates on a two-site checkerboard cell,
+* gates -- Trotterized two-site gates on the two-site checkerboard cell,
   truncated bond-locally (cost O(D^(z+1)) via a QR reduction);
-* mpo   -- one uniform propagator tensor per axis on a single-site cell,
+* mpo   -- one uniform propagator tensor per axis on the one-site cell,
   with the enlarged bonds brought to the superorthogonal gauge and cut
   back to D there.
 
@@ -38,8 +42,7 @@ import numpy as np
 
 from .estimator import GapTrace, record_trace
 from .imps import EvolutionSchedule, bond_gate
-from .models import (LatticeSpec, Model, OperatorTerms, bond_hamiltonian,
-                     hypercubic, split_hamiltonian)
+from .models import Model, OperatorTerms, bond_hamiltonian, split_hamiltonian
 from .tensor import (add_work, einsum2, pinv_weights, psd_factor, qr_counted,
                      truncated_svd, warn_below_floor, warn_imaginary)
 from .wii import Mpo, build_wii, hamiltonian_line_mpo
@@ -49,7 +52,8 @@ _LEG_LETTERS = "abcdefgh"  # virtual-leg subscript pool (z <= 6)
 
 @dataclass(frozen=True)
 class BondRef:
-    """One inequivalent bond: key into the weight table plus its endpoints.
+    """One inequivalent bond: key ``(axis, i_site)`` into the weight table
+    plus its endpoints.
 
     ``i`` is always the +axis side, ``j`` the -axis side.
     """
@@ -64,11 +68,15 @@ class BondRef:
 
 @dataclass
 class IPepsState:
-    """Weighted-bond (Vidal-like) infinite PEPS."""
+    """Weighted-bond (Vidal-like) infinite PEPS; the cell is its
+    ``n_sites`` site tensors."""
 
-    lattice: LatticeSpec
     tensors: list[np.ndarray]
     lams: dict
+
+    @property
+    def dimension(self) -> int:
+        return (self.tensors[0].ndim - 1) // 2
 
     @property
     def local_dim(self) -> int:
@@ -80,7 +88,6 @@ class IPepsState:
 
     def copy(self) -> "IPepsState":
         return IPepsState(
-            self.lattice,
             [t.copy() for t in self.tensors],
             {k: v.copy() for k, v in self.lams.items()},
         )
@@ -95,38 +102,31 @@ def leg_index(axis: int, sign: int) -> int:
 
 
 def bond_list(state: IPepsState) -> list[BondRef]:
-    d = state.lattice.dimension
-    if state.lattice.unit_cell == "single-site":
-        return [
-            BondRef(a, a, 0, leg_index(a, 0), 0, leg_index(a, 1)) for a in range(d)
-        ]
-    bonds = []
-    for a in range(d):
-        bonds.append(BondRef((a, 0), a, 0, leg_index(a, 0), 1, leg_index(a, 1)))
-        bonds.append(BondRef((a, 1), a, 1, leg_index(a, 0), 0, leg_index(a, 1)))
-    return bonds
+    n = state.n_sites
+    return [
+        BondRef((a, s), a, s, leg_index(a, 0), (s + 1) % n, leg_index(a, 1))
+        for a in range(state.dimension)
+        for s in range(n)
+    ]
 
 
-def lam_key(state: IPepsState, site: int, leg: int):
+def lam_key(state: IPepsState, site: int, leg: int) -> tuple[int, int]:
     """Weight-table key for the bond attached to (site, leg)."""
     axis, sign = divmod(leg - 1, 2)
-    if state.lattice.unit_cell == "single-site":
-        return axis
-    return (axis, (sign + site) % 2)
+    return (axis, (site - sign) % state.n_sites)
 
 
-def random_product_ipeps(lattice: LatticeSpec, seed: int) -> IPepsState:
-    """Bond-dimension-1 product state of random real unit vectors."""
+def random_product_ipeps(dimension: int, n_sites: int, seed: int) -> IPepsState:
+    """Bond-dimension-1 product state of random real unit vectors on a cell
+    of ``n_sites`` sites."""
     rng = np.random.default_rng(seed)
-    n_sites = 1 if lattice.unit_cell == "single-site" else 2
     local_dim = 2  # spin-1/2 lattice models; generalize when needed
-    z = lattice.connectivity
     tensors = []
     for _ in range(n_sites):
         v = rng.normal(size=local_dim)
         v /= np.linalg.norm(v)
-        tensors.append(v.reshape((local_dim,) + (1,) * z))
-    state = IPepsState(lattice, tensors, {})
+        tensors.append(v.reshape((local_dim,) + (1,) * (2 * dimension)))
+    state = IPepsState(tensors, {})
     for b in bond_list(state):
         state.lams[b.key] = np.ones(1)
     return state
@@ -530,9 +530,9 @@ def apply_axis_mpo(
     axis (D -> D * Dw, old bond index slower), the state is brought to the
     superorthogonal gauge, and the enlarged bonds are cut back to D_max.
     """
-    if state.lattice.unit_cell != "single-site":
-        raise ValueError("axis propagators act on the single-site unit cell")
-    dlat = state.lattice.dimension
+    if state.n_sites != 1:
+        raise ValueError("axis propagators act on the one-site unit cell")
+    dlat = state.dimension
     t = state.tensors[0]
     w = mpo.tensor
     dw = mpo.virtual_dim
@@ -553,8 +553,8 @@ def apply_axis_mpo(
     merged = np.transpose(out, perm).reshape(new_shape)
     st = state.copy()
     st.tensors[0] = merged
-    lam = st.lams[axis]
-    st.lams[axis] = np.kron(lam, np.ones(dw)) / np.sqrt(dw)
+    lam = st.lams[(axis, 0)]
+    st.lams[(axis, 0)] = np.kron(lam, np.ones(dw)) / np.sqrt(dw)
     st, info = superorthogonalize(st, SO_TOL, SO_MAX_PASSES)
     st, _ = truncate_bonds(st, D_max)
     return st, info
@@ -573,8 +573,8 @@ def simple_update_bond(
     cut to D_max, and the environment weights divided back out with a
     floored pseudo-inverse.  gate axes: (out_i, out_j, in_i, in_j).
     """
-    if state.lattice.unit_cell != "two-site-checkerboard":
-        raise ValueError("gate updates act on the checkerboard unit cell")
+    if state.n_sites != 2:
+        raise ValueError("gate updates act on the two-site checkerboard cell")
     st = state.copy()
     d = st.local_dim
     lam_b = st.lams[bond.key]
@@ -653,7 +653,6 @@ def expectation_terms_peps(state: IPepsState, terms: OperatorTerms) -> float:
     the interior bond weight of a pair rides the + side once per layer.
     """
     d = state.local_dim
-    dlat = state.lattice.dimension
     total = 0.0
     imag_max = 0.0
     for term in terms.terms:
@@ -724,10 +723,10 @@ def run_evolution_peps(
     gates scheme: second-order Trotter over the checkerboard bond classes
     (forward then reverse half steps), gauge-fixed every
     ``GATES_SO_EVERY`` steps.  mpo scheme: one axis propagator after
-    another on the single-site cell, superorthogonalizing at every
+    another on the one-site cell, superorthogonalizing at every
     application.
     """
-    dlat = model.lattice.dimension
+    dlat = model.dimension
     if dlat < 2:
         raise ValueError("run_evolution_peps needs a 2D or 3D model")
     comm = model.commutator()
@@ -735,7 +734,7 @@ def run_evolution_peps(
     dtau = schedule.dtau
 
     if schedule.scheme == "mpo":
-        state = random_product_ipeps(hypercubic(dlat), schedule.seed)
+        state = random_product_ipeps(dlat, 1, schedule.seed)
         mpos = [
             build_wii(hamiltonian_line_mpo(bond_h[a], site_h, 1.0 / dlat), dtau, a)
             for a in range(dlat)
@@ -747,12 +746,9 @@ def run_evolution_peps(
             return st
 
     else:
-        state = random_product_ipeps(
-            hypercubic(dlat, "two-site-checkerboard"), schedule.seed
-        )
-        z = model.lattice.connectivity
+        state = random_product_ipeps(dlat, 2, schedule.seed)
         half_gates = [
-            bond_gate(bond_hamiltonian(site_h, bond_h[a], z), dtau / 2.0)
+            bond_gate(bond_hamiltonian(site_h, bond_h[a], 2 * dlat), dtau / 2.0)
             for a in range(dlat)
         ]
         order = bond_list(state)

@@ -1,10 +1,13 @@
 """Lattice models, gap-creating observables and exact commutator terms.
 
 Conventions: spin-1/2 operators are the Pauli matrices, spin-1 operators
-the standard S=1 matrices with hbar = 1.  A Hamiltonian or observable is
-stored as a translation-invariant list of local terms; each term carries
-the site offsets of its support (relative to an arbitrary base site) and
-a dense matrix on the joint local space, factor order = sorted offsets.
+the standard S=1 matrices with hbar = 1.  A model lives on the simple
+cubic lattice of its ``dimension`` d (chain, square or cubic), whose
+coordination number is 2d; the unit cell belongs to the state that evolves
+it, not to the model.  A Hamiltonian or observable is stored as a
+translation-invariant list of local terms; each term carries the site
+offsets of its support (relative to an arbitrary base site) and a dense
+matrix on the joint local space, factor order = sorted offsets.
 """
 
 from __future__ import annotations
@@ -21,33 +24,6 @@ _S = 1.0 / np.sqrt(2.0)
 SPIN1_X = _S * np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 SPIN1_Y = _S * np.array([[0.0, -1.0j, 0.0], [1.0j, 0.0, -1.0j], [0.0, 1.0j, 0.0]])
 SPIN1_Z = np.diag([1.0, 0.0, -1.0])
-
-
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Hypercubic lattice: dimension d and unit cell kind."""
-
-    dimension: int
-    unit_cell: str  # "single-site" | "two-site-checkerboard"
-
-    def __post_init__(self):
-        if self.unit_cell not in ("single-site", "two-site-checkerboard"):
-            raise ValueError(f"unknown unit cell {self.unit_cell!r}")
-
-    @property
-    def connectivity(self) -> int:
-        """Coordination number z = 2d."""
-        return 2 * self.dimension
-
-    @property
-    def axes(self) -> tuple[tuple[int, ...], ...]:
-        """Unit vectors of the d positive axes."""
-        d = self.dimension
-        return tuple(tuple(1 if j == a else 0 for j in range(d)) for a in range(d))
-
-
-def hypercubic(dimension: int, unit_cell: str = "single-site") -> LatticeSpec:
-    return LatticeSpec(dimension, unit_cell)
 
 
 @dataclass(frozen=True)
@@ -82,7 +58,7 @@ class Model:
     """A lattice model bundled with its gap-creating observable."""
 
     name: str
-    lattice: LatticeSpec
+    dimension: int
     hamiltonian: OperatorTerms
     gap_operator: OperatorTerms
     params: dict = field(default_factory=dict)
@@ -100,30 +76,19 @@ def _origin(dimension: int) -> tuple[int, ...]:
     return (0,) * dimension
 
 
-def tfim(dimension: int, J: float, g: float) -> tuple[LatticeSpec, OperatorTerms]:
-    """Transverse-field Ising model -J sum_<ij> z z - g sum_i x on d = 2, 3."""
-    if dimension not in (2, 3):
-        raise ValueError("tfim is defined for dimension 2 or 3")
+def tfim(dimension: int, J: float, g: float) -> OperatorTerms:
+    """Transverse-field Ising model -J sum_<ij> z z - g sum_i x on d = 1, 2, 3."""
+    if dimension not in (1, 2, 3):
+        raise ValueError("tfim is defined for dimension 1, 2 or 3")
     if J == 0.0 and g == 0.0:
         raise ValueError("J and g cannot both vanish")
-    lattice = hypercubic(dimension)
+    origin = _origin(dimension)
     bond = -J * np.kron(PAULI_Z, PAULI_Z)
-    terms = [LocalTerm((_origin(dimension),), -g * PAULI_X)]
-    for ax in lattice.axes:
-        terms.append(LocalTerm((_origin(dimension), ax), bond))
-    return lattice, OperatorTerms(terms, local_dim=2)
-
-
-def tfim_chain(J: float, g: float) -> tuple[LatticeSpec, OperatorTerms]:
-    """1D transverse-field Ising chain, used for cross-validation only."""
-    if J == 0.0 and g == 0.0:
-        raise ValueError("J and g cannot both vanish")
-    lattice = hypercubic(1)
-    terms = [
-        LocalTerm(((0,),), -g * PAULI_X),
-        LocalTerm(((0,), (1,)), -J * np.kron(PAULI_Z, PAULI_Z)),
-    ]
-    return lattice, OperatorTerms(terms, local_dim=2)
+    terms = [LocalTerm((origin,), -g * PAULI_X)]
+    for a in range(dimension):
+        unit = tuple(int(j == a) for j in range(dimension))
+        terms.append(LocalTerm((origin, unit), bond))
+    return OperatorTerms(terms, local_dim=2)
 
 
 def tfim_gap_operator(dimension: int) -> OperatorTerms:
@@ -131,16 +96,15 @@ def tfim_gap_operator(dimension: int) -> OperatorTerms:
     return OperatorTerms([LocalTerm((_origin(dimension),), PAULI_Y)], local_dim=2)
 
 
-def haldane() -> tuple[LatticeSpec, OperatorTerms]:
+def haldane() -> OperatorTerms:
     """Spin-1 antiferromagnetic Heisenberg chain H = sum_i S_i . S_{i+1}."""
-    lattice = hypercubic(1)
     bond = (
         np.kron(SPIN1_X, SPIN1_X)
         + np.kron(SPIN1_Y, SPIN1_Y)
         + np.kron(SPIN1_Z, SPIN1_Z)
     )
     assert np.max(np.abs(bond.imag)) < 1e-15
-    return lattice, OperatorTerms([LocalTerm(((0,), (1,)), bond.real)], local_dim=3)
+    return OperatorTerms([LocalTerm(((0,), (1,)), bond.real)], local_dim=3)
 
 
 def haldane_gap_operator() -> OperatorTerms:
@@ -151,21 +115,18 @@ def haldane_gap_operator() -> OperatorTerms:
 
 
 def tfim_model(dimension: int, J: float, g: float) -> Model:
-    lattice, ham = tfim(dimension, J, g)
     return Model(
-        f"tfim{dimension}d", lattice, ham, tfim_gap_operator(dimension),
-        {"J": J, "g": g},
+        f"tfim{dimension}d", dimension, tfim(dimension, J, g),
+        tfim_gap_operator(dimension), {"J": J, "g": g},
     )
 
 
 def tfim_chain_model(J: float, g: float) -> Model:
-    lattice, ham = tfim_chain(J, g)
-    return Model("tfim1d", lattice, ham, tfim_gap_operator(1), {"J": J, "g": g})
+    return tfim_model(1, J, g)
 
 
 def haldane_model() -> Model:
-    lattice, ham = haldane()
-    return Model("haldane", lattice, ham, haldane_gap_operator(), {})
+    return Model("haldane", 1, haldane(), haldane_gap_operator(), {})
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from specgap.models import (
     PAULI_X,
     PAULI_Z,
     haldane_model,
-    hypercubic,
     terms_to_dense,
     tfim_chain_model,
     tfim_model,
@@ -369,7 +368,7 @@ def test_criterion_8_property_suite(tmp_path):
     rng = np.random.default_rng(0)
     from specgap.ipeps import random_product_ipeps
 
-    st = random_product_ipeps(hypercubic(2), 3)
+    st = random_product_ipeps(2, 1, 3)
     st.tensors[0] = rng.normal(size=(2, 3, 3, 3, 3))
     for k in st.lams:
         lam = np.sort(rng.uniform(0.4, 1.0, 3))[::-1]

@@ -154,6 +154,23 @@ class TestRun:
         for name in ("J", "g", "scheme"):
             assert f"cfg_{name}" not in summary
 
+    def test_oracle_random_honours_D(self, tmp_path):
+        code = main([
+            "run", "--model", "oracle-random", "--D", "2", "--dtau", "0.1",
+            "--tau_max", "30", "--outdir", str(tmp_path), "--tag", "two",
+        ])
+        assert code == EXIT_OK
+        summary = summary_dict(tmp_path / "two_summary.txt")
+        assert summary["cfg_D"] == summary["info_D"] == "2"
+
+    def test_oracle_random_D1_usage_error(self, tmp_path):
+        code = main([
+            "run", "--model", "oracle-random", "--D", "1", "--dtau", "0.1",
+            "--tau_max", "30", "--outdir", str(tmp_path), "--tag", "one",
+        ])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "one_summary.txt").exists()
+
     def test_oracle_random_measure_every(self, tmp_path):
         base = [
             "run", "--model", "oracle-random", "--D", "10", "--seed", "3",
@@ -251,14 +268,18 @@ class TestSweep:
         assert rows[1] == "40.0,nan,nan,exit-1"
 
     def test_nonpositive_D_point_becomes_exit_1_row(self, tmp_path):
-        code = main([
-            "sweep", "--model", "tfim2d", "--tau_max", "0.4", "--outdir",
-            str(tmp_path), "--tag", "d0", "--param", "D", "--values", "0",
-        ])
-        assert code == EXIT_USAGE
-        rows = (tmp_path / "d0_sweep.csv").read_text().splitlines()
-        assert rows == ["param,gap,err,quality", "0.0,nan,nan,exit-1"]
-        assert not (tmp_path / "d0_D0_summary.txt").exists()
+        # the usage error of D=0 outranks the no-window exit of D=2
+        for values, rest in (("0", []), ("0,2", ["no-linear-window"])):
+            outdir = tmp_path / f"grid{len(rest)}"
+            code = main([
+                "sweep", "--model", "tfim2d", "--tau_max", "0.4", "--outdir",
+                str(outdir), "--tag", "d0", "--param", "D", "--values", values,
+            ])
+            assert code == EXIT_USAGE
+            rows = (outdir / "d0_sweep.csv").read_text().splitlines()
+            assert rows[:2] == ["param,gap,err,quality", "0.0,nan,nan,exit-1"]
+            assert [row.split(",")[3] for row in rows[2:]] == rest
+            assert not (outdir / "d0_D0_summary.txt").exists()
 
     def test_non_integer_D_usage_error(self, tmp_path):
         code = main([

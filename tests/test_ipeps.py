@@ -24,7 +24,6 @@ from specgap.models import (
     PAULI_X,
     PAULI_Z,
     bond_hamiltonian,
-    hypercubic,
     split_hamiltonian,
     terms_to_dense,
     tfim_model,
@@ -39,19 +38,18 @@ OZZ = OperatorTerms(
 )
 
 
-def plus_state(lattice):
-    st = random_product_ipeps(lattice, 0)
+def plus_state(dimension, n_sites):
+    st = random_product_ipeps(dimension, n_sites, 0)
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    z = lattice.connectivity
     for i in range(st.n_sites):
-        st.tensors[i] = plus.reshape((2,) + (1,) * z)
+        st.tensors[i] = plus.reshape(st.tensors[i].shape)
     return st
 
 
 def random_d2_state(seed):
     """Generic D=2 single-site state with benign weights."""
     rng = np.random.default_rng(seed)
-    st = random_product_ipeps(hypercubic(2), seed)
+    st = random_product_ipeps(2, 1, seed)
     st.tensors[0] = rng.normal(size=(2, 2, 2, 2, 2))
     for k in st.lams:
         lam = np.sort(rng.uniform(0.4, 1.0, 2))[::-1]
@@ -68,10 +66,10 @@ def kernel_state(shape, seed, dtype):
     """Single-site state holding a random tensor of ``shape`` and random
     positive weights on every bond."""
     rng = np.random.default_rng(seed)
-    st = random_product_ipeps(hypercubic((len(shape) - 1) // 2), seed)
+    st = random_product_ipeps((len(shape) - 1) // 2, 1, seed)
     st.tensors[0] = random_array(rng, shape, dtype)
-    for a in st.lams:
-        st.lams[a] = rng.uniform(0.2, 1.0, shape[1 + 2 * a])
+    for a, site in st.lams:
+        st.lams[(a, site)] = rng.uniform(0.2, 1.0, shape[1 + 2 * a])
     return st
 
 
@@ -97,7 +95,7 @@ def checkerboard_state(D, seed):
     """Two-site 2D state holding random D^4 tensors and random positive
     weights on every bond."""
     rng = np.random.default_rng(seed)
-    st = random_product_ipeps(hypercubic(2, "two-site-checkerboard"), seed)
+    st = random_product_ipeps(2, 2, seed)
     st.tensors = [rng.normal(size=(2,) + (D,) * 4) for _ in range(2)]
     for k in st.lams:
         st.lams[k] = rng.uniform(0.2, 1.0, D)
@@ -136,7 +134,7 @@ def shared_sweep_madds(st):
     and axis, the off-axis closures once, then for each of the two ends the
     partner closure and the leg pair."""
     total = 0
-    for axis in range(st.lattice.dimension):
+    for axis in range(st.dimension):
         plus, minus = leg_index(axis, 0), leg_index(axis, 1)
         for t in st.tensors:
             off = sum(t.shape[l] for l in range(1, t.ndim) if (l - 1) // 2 != axis)
@@ -205,7 +203,7 @@ class TestLegKernels:
             leg = end[1]
             # the weight-squared closure of every other leg
             closures = {
-                l: np.diag(st.lams[(l - 1) // 2] ** 2)
+                l: np.diag(st.lams[lam_key(st, 0, l)] ** 2)
                 for l in range(1, t.ndim) if l != leg
             }
             ref = brute_dressed_gram(t, leg, closures)
@@ -279,7 +277,7 @@ class TestMessageFixedPoint:
             return inner(st, *args)
 
         monkeypatch.setattr(ipeps, "superorthogonalize", keep_input)
-        st = random_product_ipeps(hypercubic(3), 753)
+        st = random_product_ipeps(3, 1, 753)
         for a in (0, 1, 2, 0, 1, 2):
             st, _ = apply_axis_mpo(st, mpos[a], a, 3)
         got, sweeps = ipeps._message_fixed_point(inputs[5], tol=1e-12)
@@ -305,29 +303,48 @@ class TestMessageFixedPoint:
         assert work_count() - before == shared_sweep_madds(st)
 
 
+def assert_bond_table(st):
+    """One bond per (axis, site), keyed so; its two ends cover every
+    virtual leg once, and ``lam_key`` of either end names the bond."""
+    bonds = bond_list(st)
+    keys = [(a, s) for a in range(st.dimension) for s in range(st.n_sites)]
+    assert [b.key for b in bonds] == keys == list(st.lams)
+    ends = [e for b in bonds for e in ((b.i_site, b.i_leg), (b.j_site, b.j_leg))]
+    assert sorted(ends) == [(s, leg) for s in range(st.n_sites)
+                            for leg in range(1, 2 * st.dimension + 1)]
+    for b in bonds:
+        assert b.key == (b.axis, b.i_site)
+        assert lam_key(st, b.i_site, b.i_leg) == b.key
+        assert lam_key(st, b.j_site, b.j_leg) == b.key
+
+
 class TestStateConstruction:
     def test_random_product(self):
-        st = random_product_ipeps(hypercubic(2), 5)
+        st = random_product_ipeps(2, 1, 5)
         assert st.n_sites == 1
         assert all(np.array_equal(v, np.ones(1)) for v in st.lams.values())
         assert np.linalg.norm(st.tensors[0]) == pytest.approx(1.0)
-        again = random_product_ipeps(hypercubic(2), 5)
+        again = random_product_ipeps(2, 1, 5)
         assert np.array_equal(st.tensors[0], again.tensors[0])
 
     def test_checkerboard_has_z_bonds(self):
-        st = random_product_ipeps(hypercubic(3, "two-site-checkerboard"), 1)
-        assert st.n_sites == 2
-        assert len(bond_list(st)) == 6
+        for dim in (2, 3):
+            st = random_product_ipeps(dim, 2, 1)
+            assert st.n_sites == 2 and st.dimension == dim
+            assert len(bond_list(st)) == 2 * dim
+            assert_bond_table(st)
 
     def test_single_cell_has_d_bonds(self):
-        st = random_product_ipeps(hypercubic(3), 1)
-        assert len(bond_list(st)) == 3
+        for dim in (2, 3):
+            st = random_product_ipeps(dim, 1, 1)
+            assert st.n_sites == 1 and st.dimension == dim
+            assert len(bond_list(st)) == dim
+            assert_bond_table(st)
 
 
 class TestSimpleUpdate:
     def test_identity_gate_idempotent(self):
-        lat = hypercubic(2, "two-site-checkerboard")
-        st = random_product_ipeps(lat, 4)
+        st = random_product_ipeps(2, 2, 4)
         for i in range(2):
             st.tensors[i] = np.abs(st.tensors[i])
         ident = np.eye(4).reshape(2, 2, 2, 2)
@@ -339,8 +356,7 @@ class TestSimpleUpdate:
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_gate_on_product_pair_matches_dense_schmidt(self):
-        lat = hypercubic(2, "two-site-checkerboard")
-        st = random_product_ipeps(lat, 4)
+        st = random_product_ipeps(2, 2, 4)
         h = -np.kron(PAULI_Z, PAULI_Z) - 0.25 * (
             np.kron(PAULI_X, np.eye(2)) + np.kron(np.eye(2), PAULI_X)
         )
@@ -356,8 +372,7 @@ class TestSimpleUpdate:
         assert np.max(np.abs(got - sv[: got.size])) < 1e-10
 
     def test_j_zero_fixed_point_gates(self):
-        lat = hypercubic(2, "two-site-checkerboard")
-        st = plus_state(lat)
+        st = plus_state(2, 2)
         gate = expm(0.05 * 0.25 * (
             np.kron(PAULI_X, np.eye(2)) + np.kron(np.eye(2), PAULI_X)
         )).reshape(2, 2, 2, 2)
@@ -369,14 +384,13 @@ class TestSimpleUpdate:
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_rank_zero_fatal(self):
-        lat = hypercubic(2, "two-site-checkerboard")
-        st = random_product_ipeps(lat, 4)
+        st = random_product_ipeps(2, 2, 4)
         with pytest.raises((RuntimeError, ValueError)):
             simple_update_bond(st, np.zeros((2, 2, 2, 2)), bond_list(st)[0], 4)
 
     def test_updated_tensors_c_contiguous(self):
         m = tfim_model(2, 0.2, 1.0)
-        st = random_product_ipeps(hypercubic(2, "two-site-checkerboard"), 11)
+        st = random_product_ipeps(2, 2, 11)
         site_h, bond_h = split_hamiltonian(m.hamiltonian, 2)
         for _ in range(3):
             for b in bond_list(st):
@@ -386,7 +400,7 @@ class TestSimpleUpdate:
         assert all(t.flags.c_contiguous for t in st.tensors)
 
     def test_single_site_cell_rejected(self):
-        st = random_product_ipeps(hypercubic(2), 4)
+        st = random_product_ipeps(2, 1, 4)
         with pytest.raises(ValueError):
             simple_update_bond(st, np.eye(4).reshape(2, 2, 2, 2),
                                bond_list(st)[0], 4)
@@ -394,7 +408,7 @@ class TestSimpleUpdate:
 
 class TestSuperorthogonalize:
     def test_product_state_already_canonical(self):
-        st = random_product_ipeps(hypercubic(2), 3)
+        st = random_product_ipeps(2, 1, 3)
         assert superorthogonality_residual(st) < 1e-12
         out, info = superorthogonalize(st)
         assert info.iterations == 0 and info.sweeps == 0
@@ -461,7 +475,7 @@ class TestSuperorthogonalize:
 
 class TestAxisMpo:
     def test_identity_propagator_is_noop(self):
-        st = random_product_ipeps(hypercubic(2), 3)
+        st = random_product_ipeps(2, 1, 3)
         ident = Mpo(np.eye(2).reshape(1, 1, 2, 2), 0.1, 0)
         out, info = apply_axis_mpo(st, ident, 0, 4)
         assert np.max(np.abs(np.abs(out.tensors[0]) - np.abs(st.tensors[0]))) < 1e-12
@@ -476,7 +490,7 @@ class TestAxisMpo:
             0.1,
         )
         big, _ = apply_axis_mpo(st, w, 0, D_max=100)
-        assert big.lams[0].size == st.lams[0].size * w.virtual_dim
+        assert big.lams[(0, 0)].size == st.lams[(0, 0)].size * w.virtual_dim
 
     def test_one_step_matches_dense_cluster(self):
         # x then y propagator on a product state vs exp(-dtau H) on a 2x2
@@ -489,7 +503,7 @@ class TestAxisMpo:
         errs = []
         for dt in (0.1, 0.05):
             w = build_wii(blocks, dt)
-            st = random_product_ipeps(hypercubic(2), 11)
+            st = random_product_ipeps(2, 1, 11)
             stx, _ = apply_axis_mpo(st, w, 0, 16)
             sty, _ = apply_axis_mpo(stx, w, 1, 16)
             got = expectation_terms_peps(sty, OX)
@@ -507,7 +521,7 @@ class TestAxisMpo:
         assert errs[0] / errs[1] > 2.5  # second-order in the step
 
     def test_j_zero_fixed_point_mpo(self):
-        st = plus_state(hypercubic(2))
+        st = plus_state(2, 1)
         blocks = hamiltonian_line_mpo(
             0.0 * np.kron(PAULI_Z, PAULI_Z), -1.0 * PAULI_X, 0.5
         )
@@ -517,7 +531,7 @@ class TestAxisMpo:
         assert np.max(np.abs(out.tensors[0] - st.tensors[0])) < 1e-12
 
     def test_checkerboard_rejected(self):
-        st = random_product_ipeps(hypercubic(2, "two-site-checkerboard"), 1)
+        st = random_product_ipeps(2, 2, 1)
         ident = Mpo(np.eye(2).reshape(1, 1, 2, 2), 0.1, 0)
         with pytest.raises(ValueError):
             apply_axis_mpo(st, ident, 0, 4)
@@ -529,7 +543,7 @@ class TestExpectation:
         # a site tensor in another memory layout, with equal values, must
         # give the same bits (an einsum path planned on the layout did not)
         m = tfim_model(2, 0.2, 1.0)
-        st = random_product_ipeps(hypercubic(2, "two-site-checkerboard"), 11)
+        st = random_product_ipeps(2, 2, 11)
         site_h, bond_h = split_hamiltonian(m.hamiltonian, 2)
         gates = [bond_gate(bond_hamiltonian(site_h, b, 4), 0.025) for b in bond_h]
         order = bond_list(st)
@@ -551,24 +565,24 @@ class TestExpectation:
                 assert expectation_terms_peps(alt, comm) == ref
 
     def test_identity_per_site(self):
-        st = random_product_ipeps(hypercubic(2), 2)
+        st = random_product_ipeps(2, 1, 2)
         ident = OperatorTerms([LocalTerm(((0, 0),), np.eye(2))], 2)
         assert expectation_terms_peps(st, ident) == pytest.approx(1.0, abs=1e-13)
 
     def test_plus_product_values(self):
-        st = plus_state(hypercubic(2))
+        st = plus_state(2, 1)
         assert expectation_terms_peps(st, OX) == pytest.approx(1.0, abs=1e-13)
         assert expectation_terms_peps(st, OZ) == pytest.approx(0.0, abs=1e-13)
 
     def test_bond_term_on_product_state_factorizes(self):
-        st = random_product_ipeps(hypercubic(2), 9)
+        st = random_product_ipeps(2, 1, 9)
         v = st.tensors[0].reshape(2)
         zz = expectation_terms_peps(st, OZZ)
         per_axis = (v @ PAULI_Z @ v) ** 2
         assert zz == pytest.approx(per_axis, abs=1e-12)
 
     def test_unsupported_support_rejected(self):
-        st = random_product_ipeps(hypercubic(2), 1)
+        st = random_product_ipeps(2, 1, 1)
         diag = OperatorTerms(
             [LocalTerm(((0, 0), (1, 1)), np.eye(4))], 2
         )
@@ -578,9 +592,9 @@ class TestExpectation:
 
 def _evolved_state(model, schedule, D_max):
     """Short evolution returning the final state (mpo scheme)."""
-    dlat = model.lattice.dimension
+    dlat = model.dimension
     site_h, bond_h = split_hamiltonian(model.hamiltonian, dlat)
-    st = random_product_ipeps(hypercubic(dlat), schedule.seed)
+    st = random_product_ipeps(dlat, 1, schedule.seed)
     mpos = [
         build_wii(hamiltonian_line_mpo(bond_h[a], site_h, 1.0 / dlat),
                   schedule.dtau, a)
@@ -606,8 +620,7 @@ class TestRunEvolution:
         sch = EvolutionSchedule(dtau=0.2, tau_max=8.0, scheme="mpo", D_max=2, seed=0)
         st = _evolved_state(m, sch, 2)
         # replace the random start by the symmetric one and re-evolve
-        lat = hypercubic(2)
-        sym = plus_state(lat)
+        sym = plus_state(2, 1)
         site_h, bond_h = split_hamiltonian(m.hamiltonian, 2)
         w = build_wii(hamiltonian_line_mpo(bond_h[0], site_h, 0.5), 0.2)
         for _ in range(40):
@@ -620,7 +633,7 @@ class TestRunEvolution:
         sch = EvolutionSchedule(dtau=0.1, tau_max=6.0, scheme="gates",
                                 D_max=2, seed=3)
         tr = run_evolution_peps(m, sch, D_max=2)
-        st = random_product_ipeps(hypercubic(2, "two-site-checkerboard"), 3)
+        st = random_product_ipeps(2, 2, 3)
         site_h, bond_h = split_hamiltonian(m.hamiltonian, 2)
         for _ in range(60):
             for b in bond_list(st):

@@ -28,23 +28,27 @@ from specgap.models import (
 
 class TestTfim:
     def test_term_structure(self):
-        lattice, ham = tfim(2, 0.7, 1.3)
-        assert lattice.connectivity == 4
-        sites = [t for t in ham.terms if len(t.sites) == 1]
-        bonds = [t for t in ham.terms if len(t.sites) == 2]
-        assert len(sites) == 1 and len(bonds) == 2
-        assert_allclose(sites[0].matrix, -1.3 * PAULI_X)
-        for b in bonds:
-            assert_allclose(b.matrix, -0.7 * np.kron(PAULI_Z, PAULI_Z))
+        for d in (1, 2, 3):
+            ham = tfim(d, 0.7, 1.3)
+            sites = [t for t in ham.terms if len(t.sites) == 1]
+            bonds = [t for t in ham.terms if len(t.sites) == 2]
+            assert len(sites) == 1 and len(bonds) == d
+            assert sites[0].sites == ((0,) * d,)
+            assert_allclose(sites[0].matrix, -1.3 * PAULI_X)
+            # one bond from the origin along each positive axis, in axis order
+            assert [b.sites for b in bonds] == [
+                ((0,) * d, tuple(np.eye(d, dtype=int)[a])) for a in range(d)
+            ]
+            for b in bonds:
+                assert_allclose(b.matrix, -0.7 * np.kron(PAULI_Z, PAULI_Z))
 
     def test_three_dimensional_has_three_bonds(self):
-        lattice, ham = tfim(3, 1.0, 0.5)
-        assert lattice.connectivity == 6
+        ham = tfim(3, 1.0, 0.5)
         assert sum(len(t.sites) == 2 for t in ham.terms) == 3
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
-            tfim(1, 1.0, 1.0)
+            tfim(4, 1.0, 1.0)
         with pytest.raises(ValueError):
             tfim(2, 0.0, 0.0)
 
@@ -78,14 +82,14 @@ class TestTfim:
 
 class TestHaldane:
     def test_bond_spectrum(self):
-        _, ham = haldane()
+        ham = haldane()
         w = np.linalg.eigvalsh(ham.terms[0].matrix)
         assert_allclose(w[:1], [-2.0], atol=1e-12)
         assert_allclose(w[1:4], [-1.0] * 3, atol=1e-12)
         assert_allclose(w[4:], [1.0] * 5, atol=1e-12)
 
     def test_bond_traceless(self):
-        _, ham = haldane()
+        ham = haldane()
         assert abs(np.trace(ham.terms[0].matrix)) < 1e-12
 
     def test_total_sz_commutes(self):
