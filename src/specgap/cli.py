@@ -53,7 +53,6 @@ class RunConfig:
                                   # dimension >= 2); unset picks the per-model default
     dtau: float | None = None     # unset picks the per-scheme default (0.2 mpo, 0.05 gates)
     tau_max: float | None = None  # unset picks a per-model default
-    measure_every: int = 1
     seed: int = 0
     outdir: str = "."
     tag: str = ""
@@ -141,12 +140,13 @@ def _oracle_random_trace(cfg: RunConfig) -> tuple[GapTrace, dict]:
         "exact_gap": d.gap(),
         "overlap_class": cls.kind.value,
     }
-    # the exact evolution needs no state beyond tau itself
+    # the exact evolution needs no state beyond the step count
     trace = record_trace(
-        0.0,
-        lambda tau, step: step * cfg.dtau,
-        lambda tau: oracle.commutator_expectation_exact(d, obs, phi0, tau),
-        cfg.dtau, cfg.tau_max, cfg.measure_every, meta,
+        0,
+        lambda step: step + 1,
+        lambda step: oracle.commutator_expectation_exact(
+            d, obs, phi0, step * cfg.dtau),
+        cfg.dtau, cfg.tau_max, meta,
     )
     return trace, meta
 
@@ -156,7 +156,6 @@ def evolution_schedule(cfg: RunConfig) -> EvolutionSchedule:
     return EvolutionSchedule(
         dtau=cfg.dtau,
         tau_max=cfg.tau_max,
-        measure_every=cfg.measure_every,
         scheme=cfg.scheme,
         D_max=cfg.D,
         seed=cfg.seed,
@@ -329,7 +328,12 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument(
         "--values", required=True, help="comma-separated grid values"
     )
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the error (or --help)
+        if not exc.code:
+            raise
+        return EXIT_USAGE
     try:
         cfg = _build_config(args)
     except (ValueError, OSError) as exc:

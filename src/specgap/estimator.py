@@ -3,9 +3,8 @@
 The pipeline is: spike removal, central-difference derivative, detection of
 the longest derivative plateau (a median band, deterministic and auditable),
 then a least-squares line through the plateau whose negated slope is the gap.
-The detection settings are chosen from the trace itself: a gate-scheme trace
-(``metadata["scheme"] == "gates"``) jitters between gauge fixes, so its
-derivative is smoothed and its band is wider.
+Every trace goes through the same detection: the raw derivative inside a
+band of ``WINDOW_REL_TOL``, whatever scheme produced it.
 """
 
 from __future__ import annotations
@@ -23,11 +22,6 @@ QUALITY_POLYNOMIAL = "polynomial-suspect"
 
 MIN_WINDOW_POINTS = 20  # derivative samples in the shortest linear window
 WINDOW_REL_TOL = 5e-3  # half-width of the window's derivative band, relative
-# a gate-scheme trace jitters between gauge fixes: its window is found on a
-# centered rolling mean of the derivative this many samples wide, inside a
-# band this wide
-GATES_FLATTEN = 15
-GATES_WINDOW_REL_TOL = 5e-2
 SPIKE_DEPTH = 10.0  # a spike sits this far below the median of the
 SPIKE_HALFWIDTH = 5  # samples this close to it
 
@@ -64,31 +58,29 @@ def record_trace(
     measure: Callable,
     dtau: float,
     tau_max: float,
-    measure_every: int,
     metadata: dict,
 ) -> GapTrace:
     """Evolve ``state`` and sample C(tau) = ln|measure(state)| into a trace.
 
-    Step k >= 1 is ``state = advance(state, k)`` and reaches tau = k * dtau;
-    every ``measure_every``-th step is measured, step 0 included.  Zero and
-    non-finite values are skipped (a trace gap).  Stops at tau_max or once
-    C has dropped by ln(1e-14) below its first sample.
+    Step k >= 1 is ``state = advance(state)`` and reaches tau = k * dtau;
+    every step is measured, step 0 included.  Zero and non-finite values
+    are skipped (a trace gap).  Stops at tau_max or once C has dropped by
+    ln(1e-14) below its first sample.
     """
     taus, cs = [], []
     c_start = None
     for step in range(int(round(tau_max / dtau)) + 1):
         if step > 0:
-            state = advance(state, step)
-        if step % measure_every == 0:
-            val = measure(state)
-            if np.isfinite(val) and val != 0.0:
-                c = float(np.log(abs(val)))
-                taus.append(step * dtau)
-                cs.append(c)
-                if c_start is None:
-                    c_start = c
-                elif c - c_start < np.log(1e-14):
-                    break
+            state = advance(state)
+        val = measure(state)
+        if np.isfinite(val) and val != 0.0:
+            c = float(np.log(abs(val)))
+            taus.append(step * dtau)
+            cs.append(c)
+            if c_start is None:
+                c_start = c
+            elif c - c_start < np.log(1e-14):
+                break
     return GapTrace(np.array(taus), np.array(cs), metadata)
 
 
@@ -167,20 +159,19 @@ class _RunningMedian:
         m = len(s)
         return s[m // 2] if m % 2 else 0.5 * (s[m // 2 - 1] + s[m // 2])
 
-    def within_band(self, rel_tol: float) -> bool:
+    def within_band(self) -> bool:
         med = self.median
-        band = rel_tol * abs(med)
+        band = WINDOW_REL_TOL * abs(med)
         return (self._sorted[-1] - med) <= band and (med - self._sorted[0]) <= band
 
 
 def detect_linear_window(
     taus_d: np.ndarray,
     deriv: np.ndarray,
-    rel_tol: float = WINDOW_REL_TOL,
 ) -> tuple[tuple[int, int] | None, str]:
     """Longest contiguous run, of at least ``MIN_WINDOW_POINTS`` samples,
-    where every derivative sample stays within ``rel_tol * |median of the
-    run|`` of the run's median.
+    where every derivative sample stays within ``WINDOW_REL_TOL * |median
+    of the run|`` of the run's median.
 
     The first 10% of samples are discarded as transient.  Runs are grown
     greedily from each start; growth stops at the first sample that breaks
@@ -198,7 +189,7 @@ def detect_linear_window(
         j = i
         while j < n:
             run.add(float(deriv[j]))
-            if not run.within_band(rel_tol):
+            if not run.within_band():
                 break
             j += 1
         length = j - i
@@ -229,15 +220,6 @@ def _monotone_drop(deriv: np.ndarray) -> float:
     return float((mag[0] - mag[-1]) / mag[0])
 
 
-def _rolling_mean(x: np.ndarray, width: int) -> np.ndarray:
-    half = width // 2
-    out = np.empty_like(x)
-    for i in range(x.size):
-        lo, hi = max(0, i - half), min(x.size, i + half + 1)
-        out[i] = np.mean(x[lo:hi])
-    return out
-
-
 def estimate_gap(
     trace: GapTrace,
     window: tuple[float, float] | None = None,
@@ -247,28 +229,20 @@ def estimate_gap(
 
     An explicit ``window`` = (tau_lo, tau_hi) skips the detection: the
     line goes through the samples with tau_lo <= tau <= tau_hi.  Without
-    one the window is detected from the trace: on a gate-scheme trace the
-    derivative is first smoothed with a ``GATES_FLATTEN``-wide rolling
-    mean and the band is ``GATES_WINDOW_REL_TOL``; any other trace uses
-    the raw derivative and ``WINDOW_REL_TOL``.  The fit and the
-    fluctuation figure always use the raw samples.  The error bar is max(std of the in-window derivative,
-    gap difference between the two window halves), catching residual
-    curvature the standard deviation misses.  derivative_fluctuation is
-    the std of the in-window derivative after removing its linear trend:
-    slow curvature drops out and what remains is genuine step-to-step
-    scatter.  Quality is ``clean`` when that scatter is below 1e-3 of the
-    gap, ``noisy`` otherwise, with the detection flags passed through when
-    no usable window exists.
+    one the window is detected on the raw derivative inside
+    ``WINDOW_REL_TOL``, the same for every trace.  The error bar is
+    max(std of the in-window derivative, gap difference between the two
+    window halves), catching residual curvature the standard deviation
+    misses.  derivative_fluctuation is the std of the in-window derivative
+    after removing its linear trend: slow curvature drops out and what
+    remains is genuine step-to-step scatter.  Quality is ``clean`` when
+    that scatter is below 1e-3 of the gap, ``noisy`` otherwise, with the
+    detection flags passed through when no usable window exists.
     """
     clean = drop_spikes(trace)
     taus_d, deriv = numerical_derivative(clean)
     if window is None:
-        if trace.metadata.get("scheme") == "gates":
-            idx, flag = detect_linear_window(
-                taus_d, _rolling_mean(deriv, GATES_FLATTEN), GATES_WINDOW_REL_TOL
-            )
-        else:
-            idx, flag = detect_linear_window(taus_d, deriv)
+        idx, flag = detect_linear_window(taus_d, deriv)
         if idx is None:
             return GapEstimate(
                 gap=float("nan"), intercept=float("nan"), window=None,

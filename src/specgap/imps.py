@@ -263,7 +263,6 @@ class EvolutionSchedule:
 
     dtau: float
     tau_max: float
-    measure_every: int = 1
     scheme: str = "gates"
     D_max: int = 8
     seed: int = 0
@@ -273,8 +272,6 @@ class EvolutionSchedule:
             raise ValueError("dtau must be positive")
         if self.tau_max < self.dtau:
             raise ValueError("tau_max must be at least dtau")
-        if self.measure_every < 1:
-            raise ValueError("measure_every must be >= 1")
         if self.D_max < 1:
             raise ValueError("D_max must be >= 1")
         if self.scheme not in ("gates", "mpo"):
@@ -296,8 +293,7 @@ def _setup_1d(
     D_max: int,
     seed: int,
 ):
-    """Initial product state and the ``advance(state, step)`` sweep of a
-    1D run.
+    """Initial product state and the ``advance(state)`` sweep of a 1D run.
 
     One sweep is second-order Trotter: bond 0 at dtau/2, bond 1 at dtau,
     bond 0 at dtau/2.  Imaginary-time gates are not unitary, so a plain
@@ -312,7 +308,7 @@ def _setup_1d(
     g_half = bond_gate(h, schedule.dtau / 2.0)
     g_full = bond_gate(h, schedule.dtau)
 
-    def advance(state: IMpsState, step: int) -> IMpsState:
+    def advance(state: IMpsState) -> IMpsState:
         state, _ = tebd_step(state, g_half, 0, D_max, SVD_CUT)
         state, _ = tebd_step(state, g_full, 1, D_max, SVD_CUT)
         state, _ = tebd_step(state, g_half, 0, D_max, SVD_CUT)
@@ -339,13 +335,12 @@ def run_evolution_1d(
         "D": D_max,
         "dtau": schedule.dtau,
         "seed": seed,
-        "measure_every": schedule.measure_every,
         "tau_max": schedule.tau_max,
         **model.params,
     }
     return record_trace(
         state, advance, lambda st: expectation_terms_imps(st, comm),
-        schedule.dtau, schedule.tau_max, schedule.measure_every, metadata,
+        schedule.dtau, schedule.tau_max, metadata,
     )
 
 
@@ -359,6 +354,6 @@ def final_state_1d(
     if seed is None:
         seed = schedule.seed
     state, advance = _setup_1d(model, schedule, D_max, seed)
-    for step in range(1, int(round(schedule.tau_max / schedule.dtau)) + 1):
-        state = advance(state, step)
+    for _ in range(int(round(schedule.tau_max / schedule.dtau))):
+        state = advance(state)
     return state

@@ -8,8 +8,11 @@ one (uniform) or two (checkerboard).  Site s links along every axis to
 site (s + 1) mod n, so each cell has one bond per (axis, site) pair.  Two
 evolution schemes are provided:
 
-* gates -- Trotterized two-site gates on the two-site checkerboard cell,
-  truncated bond-locally (cost O(D^(z+1)) via a QR reduction);
+* gates -- the plain simple update (Jiang, Weng & Xiang, PRL 101, 090603
+  (2008)): Trotterized two-site gates on the two-site checkerboard cell,
+  truncated bond-locally (cost O(D^(z+1)) via a QR reduction).  Its bond
+  weights are the environment (Tindall & Fishman, SciPost Phys. 15, 222
+  (2023)), so it runs no gauge fix;
 * mpo   -- one uniform propagator tensor per axis on the one-site cell,
   with the enlarged bonds brought to the superorthogonal gauge and cut
   back to D there.
@@ -331,8 +334,6 @@ SO_TOL = 1e-10
 # a gauge fix that ends above this residual warns; below it lies the
 # numerical floor that the weight spread of enlarged bonds sets
 SO_WARN_RESIDUAL = 1e-6
-# gate-scheme steps between two gauge fixes
-GATES_SO_EVERY = 10
 
 
 def _anderson_mix(fs: list[np.ndarray], gs: list[np.ndarray]) -> np.ndarray:
@@ -720,11 +721,11 @@ def run_evolution_peps(
 ) -> GapTrace:
     """Imaginary-time simple update recording C(tau) = ln|<i[H,O]>| per cell.
 
-    gates scheme: second-order Trotter over the checkerboard bond classes
-    (forward then reverse half steps), gauge-fixed every
-    ``GATES_SO_EVERY`` steps.  mpo scheme: one axis propagator after
-    another on the one-site cell, superorthogonalizing at every
-    application.
+    gates scheme: the plain simple update, second-order Trotter over the
+    checkerboard bond classes (forward then reverse half steps); its bond
+    weights are the environment, and no gauge fix runs.  mpo scheme: one
+    axis propagator after another on the one-site cell,
+    superorthogonalizing at every application.
     """
     dlat = model.dimension
     if dlat < 2:
@@ -740,7 +741,7 @@ def run_evolution_peps(
             for a in range(dlat)
         ]
 
-        def advance(st, step):
+        def advance(st):
             for a in range(dlat):
                 st, _ = apply_axis_mpo(st, mpos[a], a, D_max)
             return st
@@ -753,11 +754,9 @@ def run_evolution_peps(
         ]
         order = bond_list(state)
 
-        def advance(st, step):
+        def advance(st):
             for b in order + order[::-1]:
                 st, _ = simple_update_bond(st, half_gates[b.axis], b, D_max)
-            if step % GATES_SO_EVERY == 0:
-                st, _ = superorthogonalize(st, SO_TOL, SO_MAX_PASSES)
             return st
 
     metadata = {
@@ -766,11 +765,10 @@ def run_evolution_peps(
         "D": D_max,
         "dtau": dtau,
         "seed": schedule.seed,
-        "measure_every": schedule.measure_every,
         "tau_max": schedule.tau_max,
         **model.params,
     }
     return record_trace(
         state, advance, lambda st: expectation_terms_peps(st, comm),
-        dtau, schedule.tau_max, schedule.measure_every, metadata,
+        dtau, schedule.tau_max, metadata,
     )

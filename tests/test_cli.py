@@ -90,6 +90,23 @@ class TestConfig:
         assert code == EXIT_USAGE
         assert not (tmp_path / f"{model}_summary.txt").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--bogus", "1"],
+        ["run", "--D", "abc"],
+        ["sweep", "--model", "tfim2d"],
+        ["run", "--measure_every", "2"],
+    ])
+    def test_argument_error_is_usage_error(self, tmp_path, argv):
+        # exit 2 means "no linear window"; a bad command line is a usage error
+        code = main(argv + ["--tau_max", "0.4", "--outdir", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_0(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+
     def test_scheme_defaults_resolved(self):
         cfg = RunConfig(model="tfim2d", scheme="gates").resolve()
         assert cfg.dtau == 0.05
@@ -170,22 +187,6 @@ class TestRun:
         ])
         assert code == EXIT_USAGE
         assert not (tmp_path / "one_summary.txt").exists()
-
-    def test_oracle_random_measure_every(self, tmp_path):
-        base = [
-            "run", "--model", "oracle-random", "--D", "10", "--seed", "3",
-            "--dtau", "0.1", "--tau_max", "40", "--outdir", str(tmp_path),
-        ]
-        main(base + ["--tag", "every1"])
-        main(base + ["--tag", "every2", "--measure_every", "2"])
-        every1 = (tmp_path / "every1_trace.csv").read_text().splitlines()[1:]
-        every2 = (tmp_path / "every2_trace.csv").read_text().splitlines()[1:]
-        assert len(every2) > 50
-        assert every2[:2] == [every1[0], every1[2]]
-        # every second sample of the dense trace, up to the underflow stop
-        assert every2[:-1] == every1[::2][: len(every2) - 1]
-        summary = summary_dict(tmp_path / "every2_summary.txt")
-        assert summary["cfg_measure_every"] == "2"
 
     def test_csv_rows_parse_as_floats(self, tmp_path):
         code = main([

@@ -650,6 +650,16 @@ class TestRunEvolution:
             e = estimate_gap(tr, window=(6.0, 8.0))
             assert e.gap == pytest.approx(2.0, abs=1e-8), scheme
 
+    def test_gates_scheme_is_plain_simple_update(self, monkeypatch):
+        def no_gauge_fix(*args):
+            raise AssertionError("the gates scheme ran a gauge fix")
+
+        monkeypatch.setattr(ipeps, "superorthogonalize", no_gauge_fix)
+        sch = EvolutionSchedule(dtau=0.1, tau_max=2.0, scheme="gates",
+                                D_max=2, seed=0)
+        tr = run_evolution_peps(tfim_model(2, 0.2, 1.0), sch, D_max=2)
+        assert len(tr) == 21
+
     def test_one_dimensional_rejected(self):
         from specgap.models import haldane_model
 
