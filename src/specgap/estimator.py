@@ -166,7 +166,6 @@ class _RunningMedian:
 
 
 def detect_linear_window(
-    taus_d: np.ndarray,
     deriv: np.ndarray,
 ) -> tuple[tuple[int, int] | None, str]:
     """Longest contiguous run, of at least ``MIN_WINDOW_POINTS`` samples,
@@ -242,7 +241,7 @@ def estimate_gap(
     clean = drop_spikes(trace)
     taus_d, deriv = numerical_derivative(clean)
     if window is None:
-        idx, flag = detect_linear_window(taus_d, deriv)
+        idx, flag = detect_linear_window(deriv)
         if idx is None:
             return GapEstimate(
                 gap=float("nan"), intercept=float("nan"), window=None,

@@ -37,6 +37,7 @@ mix that is not a usable set of messages falls back to the plain sweep.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -113,10 +114,18 @@ def bond_list(state: IPepsState) -> list[BondRef]:
     ]
 
 
+@functools.lru_cache(maxsize=None)
+def _leg_keys(n_sites: int, ndim: int, site: int) -> tuple[tuple[int, int], ...]:
+    """Weight-table keys of the virtual legs 1 .. ndim - 1 of ``site``."""
+    return tuple(
+        (axis, (site - sign) % n_sites)
+        for axis, sign in (divmod(leg - 1, 2) for leg in range(1, ndim))
+    )
+
+
 def lam_key(state: IPepsState, site: int, leg: int) -> tuple[int, int]:
     """Weight-table key for the bond attached to (site, leg)."""
-    axis, sign = divmod(leg - 1, 2)
-    return (axis, (site - sign) % state.n_sites)
+    return _leg_keys(state.n_sites, state.tensors[site].ndim, site)[leg - 1]
 
 
 def random_product_ipeps(dimension: int, n_sites: int, seed: int) -> IPepsState:
@@ -135,12 +144,18 @@ def random_product_ipeps(dimension: int, n_sites: int, seed: int) -> IPepsState:
     return state
 
 
+def _site_weights(state: IPepsState, site: int) -> dict[int, np.ndarray]:
+    """Bond weights of every virtual leg of ``site``, in leg order."""
+    keys = _leg_keys(state.n_sites, state.tensors[site].ndim, site)
+    return {leg: state.lams[key] for leg, key in enumerate(keys, 1)}
+
+
 def _leg_weights(state: IPepsState) -> dict[tuple[int, int], np.ndarray]:
     """Bond weights of every (site, leg)."""
     return {
-        (site, leg): state.lams[lam_key(state, site, leg)]
-        for site, t in enumerate(state.tensors)
-        for leg in range(1, t.ndim)
+        (site, leg): w
+        for site in range(state.n_sites)
+        for leg, w in _site_weights(state, site).items()
     }
 
 
@@ -195,10 +210,8 @@ def _scaled_tensor(
 ) -> np.ndarray:
     """Site tensor with the full bond weight absorbed on every leg
     except ``skip_leg``."""
-    t = state.tensors[site]
-    return _close_legs(t, {
-        leg: state.lams[lam_key(state, site, leg)]
-        for leg in range(1, t.ndim) if leg != skip_leg
+    return _close_legs(state.tensors[site], {
+        leg: w for leg, w in _site_weights(state, site).items() if leg != skip_leg
     })
 
 
@@ -561,6 +574,14 @@ def apply_axis_mpo(
     return st, info
 
 
+@functools.lru_cache(maxsize=None)
+def _to_back(ndim: int, last: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis permutation that moves the axes ``last`` to the end, in that
+    order, and its inverse."""
+    perm = tuple(ax for ax in range(ndim) if ax not in last) + last
+    return perm, tuple(perm.index(ax) for ax in range(ndim))
+
+
 def simple_update_bond(
     state: IPepsState,
     gate: np.ndarray,
@@ -573,26 +594,29 @@ def simple_update_bond(
     reduced (cost O(D^(z+1))), the gate applied, the bond split by SVD and
     cut to D_max, and the environment weights divided back out with a
     floored pseudo-inverse.  gate axes: (out_i, out_j, in_i, in_j).
+    Returns a new state that shares the untouched tensors and weights with
+    ``state``, which is left as it was.
     """
     if state.n_sites != 2:
         raise ValueError("gate updates act on the two-site checkerboard cell")
-    st = state.copy()
-    d = st.local_dim
-    lam_b = st.lams[bond.key]
+    d = state.local_dim
+    ndim = state.tensors[0].ndim
+    env_i = _site_weights(state, bond.i_site)
+    env_j = _site_weights(state, bond.j_site)
+    lam_b = env_i.pop(bond.i_leg)
+    del env_j[bond.j_leg]
 
-    t_i = _scaled_tensor(st, bond.i_site, skip_leg=bond.i_leg)
-    t_i = _close_legs(t_i, {bond.i_leg: lam_b})  # bond weight rides the + side once
-    t_j = _scaled_tensor(st, bond.j_site, skip_leg=bond.j_leg)
+    # the bond weight rides the + side once, after the environment weights
+    t_i = _close_legs(state.tensors[bond.i_site], {**env_i, bond.i_leg: lam_b})
+    t_j = _close_legs(state.tensors[bond.j_site], env_j)
 
-    m_i = np.moveaxis(t_i, [bond.i_leg, 0], [-2, -1])
+    m_i = t_i.transpose(_to_back(ndim, (bond.i_leg, 0))[0])
     rest_i = m_i.shape[:-2]
-    m_i = m_i.reshape(-1, lam_b.size * d)
-    q_i, r_i = qr_counted(m_i)
+    q_i, r_i = qr_counted(m_i.reshape(-1, lam_b.size * d))
     k_i = r_i.shape[0]
-    m_j = np.moveaxis(t_j, [bond.j_leg, 0], [-2, -1])
+    m_j = t_j.transpose(_to_back(ndim, (bond.j_leg, 0))[0])
     rest_j = m_j.shape[:-2]
-    m_j = m_j.reshape(-1, t_j.shape[bond.j_leg] * d)
-    q_j, r_j = qr_counted(m_j)
+    q_j, r_j = qr_counted(m_j.reshape(-1, t_j.shape[bond.j_leg] * d))
     k_j = r_j.shape[0]
 
     theta = einsum2(
@@ -608,26 +632,26 @@ def simple_update_bond(
 
     add_work(float(q_i.size) * d * rank + float(q_j.size) * d * rank)
     red_i = (q_i @ u.reshape(k_i, d * rank)).reshape(rest_i + (d, rank))
-    new_i = np.moveaxis(red_i, [-2, -1], [0, bond.i_leg])
+    new_i = red_i.transpose(_to_back(ndim, (0, bond.i_leg))[1])
     red_j = (q_j @ np.transpose(
         vh.reshape(rank, k_j, d), (1, 0, 2)
     ).reshape(k_j, -1)).reshape(rest_j + (rank, d))
-    new_j = np.moveaxis(red_j, [-1, -2], [0, bond.j_leg])
+    new_j = red_j.transpose(_to_back(ndim, (bond.j_leg, 0))[1])
 
-    # divide the environment weights back out; the tensors are stored
-    # C-contiguous rather than in the axis order moveaxis left
-    for site, new_t, leg_skip in (
-        (bond.i_site, new_i, bond.i_leg),
-        (bond.j_site, new_j, bond.j_leg),
-    ):
-        inv = {
-            leg: pinv_weights(st.lams[lam_key(st, site, leg)])
-            for leg in range(1, new_t.ndim) if leg != leg_skip
-        }
-        st.tensors[site] = np.ascontiguousarray(_close_legs(new_t, inv))
+    # divide the environment weights back out, each bond's inverse taken
+    # once (every other bond of the cell touches both sites); the tensors
+    # are stored C-contiguous rather than in the axis order the transposes
+    # left
+    inv = {key: pinv_weights(w) for key, w in state.lams.items() if key != bond.key}
+    tensors = list(state.tensors)
+    for site, new_t, skip in ((bond.i_site, new_i, bond.i_leg),
+                              (bond.j_site, new_j, bond.j_leg)):
+        keys = _leg_keys(2, ndim, site)
+        tensors[site] = np.ascontiguousarray(_close_legs(new_t, {
+            leg: inv[key] for leg, key in enumerate(keys, 1) if leg != skip
+        }))
     warn_below_floor(lam_new, bond.key)
-    st.lams[bond.key] = lam_new
-    return st, discarded
+    return IPepsState(tensors, {**state.lams, bond.key: lam_new}), discarded
 
 
 # ---------------------------------------------------------------------------

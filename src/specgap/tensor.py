@@ -5,6 +5,16 @@ above ``SVD_CUT`` of the largest, unit-norm weights) and the floored
 inverse ``pinv_weights`` (zero at or below ``PINV_FLOOR``) that divides
 environment weights back out.
 
+Pairwise contractions (``einsum2``, and ``contract2`` for callers that
+count their own work) run in a fixed order with no path search.  A
+subscript string is parsed once, cached by the string, into a plan: the
+axes each operand sums over, and one output permutation.  A call then
+makes both operands C-contiguous, permutes and reshapes them into two
+matrices, multiplies them with one ``np.dot`` and permutes the result, as
+``np.tensordot`` does.  The matrices handed to BLAS are functions of the
+operands' values alone, so equal values in any memory layout give the same
+bits.
+
 Everything here is a pure function of its inputs; values can be shared
 freely across threads.  Scalars are real or complex double precision --
 numpy keeps real inputs real, which is the fast path the spin models use.
@@ -16,7 +26,11 @@ count, which is what the cost-scaling checks measure.
 
 from __future__ import annotations
 
+import functools
+import math
+import string
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,26 +59,99 @@ def add_work(n: float) -> None:
     _WORK["madds"] += float(n)
 
 
-def einsum2(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """einsum wrapper that accounts the naive multiply-add count.
+class _PairPlan(NamedTuple):
+    """Fixed order of one pairwise contraction: each operand's axes
+    permuted so the summed ones meet (last in the first operand, first in
+    the second, in the first operand's letter order), and the permutation
+    that takes (free axes of the first, free axes of the second) to the
+    output."""
 
-    Meant for pairwise contractions (all evolution kernels use pairwise
-    steps); the count is the product of the dimensions of all distinct
-    index letters in the expression.
+    perm_a: tuple[int, ...]
+    perm_b: tuple[int, ...]
+    n_summed: int
+    perm_out: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_plan(subscripts: str) -> _PairPlan:
+    """Parse ``"ab,bc->ac"``-style subscripts once into a ``_PairPlan``.
+
+    Raises ValueError for anything a single matrix product cannot do:
+    other than two operands, no explicit output, a letter repeated within
+    one term, a letter in both operands and the output (a batch index), a
+    letter summed within one operand, or an output letter that neither
+    operand has.
     """
-    spec = subscripts.partition("->")[0]
-    dims: dict[str, int] = {}
-    for part, op in zip(spec.split(","), operands):
-        for ch, n in zip(part.strip(), op.shape):
-            dims[ch] = n
-    total = 1.0
-    for n in dims.values():
-        total *= n
-    add_work(total)
-    # the planned summation order follows the operands' memory layout, so
-    # equal values in another layout could round differently
-    operands = [np.ascontiguousarray(op) for op in operands]
-    return np.einsum(subscripts, *operands, optimize=True)
+    spec, arrow, out = subscripts.partition("->")
+    terms = spec.split(",")
+    if len(terms) != 2 or not arrow:
+        raise ValueError(f"{subscripts!r}: need two operands and an explicit output")
+    a, b = terms
+    for term in (a, b, out):
+        if not all(ch in string.ascii_letters for ch in term):
+            raise ValueError(f"{subscripts!r}: subscripts must be letters")
+        if len(set(term)) != len(term):
+            raise ValueError(f"{subscripts!r}: letter repeated in {term!r}")
+    summed = [ch for ch in a if ch in b]
+    free = [ch for ch in a + b if ch not in summed]
+    for ch in out:
+        if ch in summed:
+            raise ValueError(f"{subscripts!r}: batch index {ch!r}")
+        if ch not in free:
+            raise ValueError(f"{subscripts!r}: output letter {ch!r} in no operand")
+    if len(out) != len(free):
+        raise ValueError(f"{subscripts!r}: letter summed within one operand")
+    return _PairPlan(
+        perm_a=tuple(a.index(ch) for ch in a if ch not in summed)
+        + tuple(a.index(ch) for ch in summed),
+        perm_b=tuple(b.index(ch) for ch in summed)
+        + tuple(b.index(ch) for ch in b if ch not in summed),
+        n_summed=len(summed),
+        perm_out=tuple(free.index(ch) for ch in out),
+    )
+
+
+def _contract(subscripts: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """The contraction of ``einsum2`` and the size of its summed index
+    space."""
+    plan = _pair_plan(subscripts)
+    at = np.ascontiguousarray(a).transpose(plan.perm_a)
+    bt = np.ascontiguousarray(b).transpose(plan.perm_b)
+    n_free = at.ndim - plan.n_summed
+    if at.shape[n_free:] != bt.shape[: plan.n_summed]:
+        raise ValueError(f"{subscripts!r}: summed dimensions {at.shape[n_free:]} "
+                         f"and {bt.shape[: plan.n_summed]} differ")
+    k = math.prod(at.shape[n_free:])
+    out = np.dot(at.reshape(math.prod(at.shape[:n_free]), k),
+                 bt.reshape(k, math.prod(bt.shape[plan.n_summed:])))
+    out = out.reshape(at.shape[:n_free] + bt.shape[plan.n_summed:])
+    return out.transpose(plan.perm_out), k
+
+
+def contract2(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``einsum2`` without accounting, for callers that count their own
+    work."""
+    return _contract(subscripts, a, b)[0]
+
+
+def einsum2(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """Pairwise contraction in a fixed order, with accounting.
+
+    The subscripts name two operands and an explicit output, with no batch
+    index (``_pair_plan`` lists what raises ValueError); their parse is
+    cached by the string.  Each operand is made C-contiguous, permuted so
+    its summed axes meet, and reshaped to a matrix; one ``np.dot``
+    multiplies the two (the arithmetic of ``np.tensordot``) and one
+    transpose orders the output.  No path is searched, and the matrices
+    handed to BLAS depend only on the operands' values, so their memory
+    layout cannot change the bits.  The count is the product of the
+    dimensions of all distinct index letters.
+    """
+    if len(operands) != 2:
+        raise ValueError(f"einsum2 takes two operands, got {len(operands)}")
+    out, k = _contract(subscripts, *operands)
+    add_work(float(out.size) * k)
+    return out
 
 
 # ---------------------------------------------------------------------------

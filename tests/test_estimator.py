@@ -52,7 +52,7 @@ class TestDerivative:
 class TestWindowDetection:
     def test_pure_line_full_range_minus_transient(self):
         td, d = numerical_derivative(line_trace())
-        idx, flag = detect_linear_window(td, d)
+        idx, flag = detect_linear_window(d)
         assert flag == QUALITY_CLEAN
         assert idx[0] == td.size // 10
         assert idx[1] == td.size
@@ -61,7 +61,7 @@ class TestWindowDetection:
         t = np.arange(0.0, 12.0, 0.05)
         tr = GapTrace(t, -t + np.exp(-3.0 * t))
         td, d = numerical_derivative(tr)
-        idx, flag = detect_linear_window(td, d)
+        idx, flag = detect_linear_window(d)
         assert flag == QUALITY_CLEAN
         assert td[idx[0]] > 1.0
         med = np.median(d[idx[0]:idx[1]])

@@ -399,6 +399,31 @@ class TestSimpleUpdate:
         assert st.max_bond() > 1
         assert all(t.flags.c_contiguous for t in st.tensors)
 
+    def test_input_state_unchanged(self):
+        # the update builds a new state around the untouched arrays of its
+        # input, so neither the input nor any state it returned may change
+        # when that result is updated again
+        m = tfim_model(2, 0.2, 1.0)
+        site_h, bond_h = split_hamiltonian(m.hamiltonian, 2)
+        gates = [bond_gate(bond_hamiltonian(site_h, b, 4), 0.05) for b in bond_h]
+        st = random_product_ipeps(2, 2, 11)
+        order = bond_list(st)
+        for b in order:
+            st, _ = simple_update_bond(st, gates[b.axis], b, 4)
+        assert st.max_bond() > 1
+        states = [st]
+        for b in order + order[::-1]:
+            states.append(simple_update_bond(states[-1], gates[b.axis], b, 4)[0])
+        snapshots = [state.copy() for state in states]
+        for b in order:
+            simple_update_bond(states[-1], gates[b.axis], b, 4)
+        for state, snap in zip(states, snapshots):
+            assert state.lams.keys() == snap.lams.keys()
+            for key, lam in snap.lams.items():
+                assert np.array_equal(state.lams[key], lam)
+            for t, t_snap in zip(state.tensors, snap.tensors):
+                assert np.array_equal(t, t_snap)
+
     def test_single_site_cell_rejected(self):
         st = random_product_ipeps(2, 1, 4)
         with pytest.raises(ValueError):

@@ -1,7 +1,50 @@
 import numpy as np
 import pytest
 
-from specgap.tensor import choose_rank, svd_fixed, truncated_svd
+from specgap import imps, ipeps, models
+from specgap.tensor import (choose_rank, einsum2, reset_work, svd_fixed,
+                            truncated_svd, work_count)
+
+# every subscript string the package passes to einsum2, by call site
+EINSUM2_SUBSCRIPTS = [
+    # imps: _SANDWICH, k = 1, 2, 3
+    "px,axb->apb",
+    "pqxy,axyb->apqb",
+    "pqrxyz,axyzb->apqrb",
+    # imps: _theta chains (two and three sites); the first is also the
+    # two-site block of tebd_step and recanonicalize
+    "apb,bqc->apqc",
+    "apqb,brc->apqrc",
+    # imps: tebd_step gate
+    "xypq,apqc->axyc",
+    # imps: canonical_defect
+    "asb,asc->bc",
+    "asb,csb->ac",
+    # imps: recanonicalize gauge maps
+    "xa,asb->xsb",
+    "xsb,by->xsy",
+    # ipeps: apply_axis_mpo at d = 2, 3
+    "lrpq,qabcd->lrpabcd",
+    "lrpq,qabcdef->lrpabcdef",
+    # ipeps: simple_update_bond
+    "ibp,jbq->ipjq",
+    "xypq,ipjq->ixjy",
+    # ipeps: _pair_transfer, every leg at d = 2
+    "pabcd,qBbcd->pqaB",
+    "pabcd,qaBcd->pqbB",
+    "pabcd,qabBd->pqcB",
+    "pabcd,qabcB->pqdB",
+    # ipeps: _pair_transfer, every leg at d = 3
+    "pabcdef,qBbcdef->pqaB",
+    "pabcdef,qaBcdef->pqbB",
+    "pabcdef,qabBdef->pqcB",
+    "pabcdef,qabcBef->pqdB",
+    "pabcdef,qabcdBf->pqeB",
+    "pabcdef,qabcdeB->pqfB",
+    # ipeps: expectation_terms_peps pair closure and its scalar
+    "kKaA,lLaA->kKlL",
+    "KLkl,kKlL->",
+]
 
 
 class TestSvdTruncate:
@@ -85,3 +128,110 @@ class TestSvdTruncate:
         assert np.all(np.real(lead) > 0)
         # the sign fix leaves the factorization exact
         assert np.linalg.norm(u1 @ np.diag(s1) @ v1 - mat) < 1e-12
+
+
+def _operands(subscripts, dtype, seed=0):
+    """Random operands for ``subscripts``, each letter its own dimension."""
+    rng = np.random.default_rng(seed)
+    terms = subscripts.partition("->")[0].split(",")
+    letters = sorted(set("".join(terms)))
+    dims = {ch: 2 + i % 3 for i, ch in enumerate(letters)}
+    ops = []
+    for term in terms:
+        shape = tuple(dims[ch] for ch in term)
+        op = rng.normal(size=shape)
+        if dtype is complex:
+            op = op + 1j * rng.normal(size=shape)
+        ops.append(op)
+    return dims, ops
+
+
+def _tensordot_reference(subscripts, a, b):
+    """np.tensordot over the shared letters (in the first operand's
+    order), then the output permutation."""
+    spec, _, out = subscripts.partition("->")
+    sa, sb = spec.split(",")
+    summed = [ch for ch in sa if ch in sb]
+    free = [ch for ch in sa + sb if ch not in summed]
+    res = np.tensordot(a, b, axes=([sa.index(ch) for ch in summed],
+                                   [sb.index(ch) for ch in summed]))
+    return res.transpose([free.index(ch) for ch in out])
+
+
+class TestEinsum2:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("subscripts", EINSUM2_SUBSCRIPTS)
+    def test_matches_einsum_and_counts(self, subscripts, dtype):
+        dims, (a, b) = _operands(subscripts, dtype)
+        reset_work()
+        got = einsum2(subscripts, a, b)
+        assert work_count() == float(np.prod(list(dims.values())))
+        ref = np.einsum(subscripts, a, b)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        scale = np.linalg.norm(a) * np.linalg.norm(b)
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-14 * scale
+        # the fixed order is tensordot's, bit for bit
+        assert np.array_equal(got, _tensordot_reference(subscripts, a, b))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("subscripts", EINSUM2_SUBSCRIPTS)
+    def test_bits_independent_of_layout(self, subscripts, dtype):
+        _, (a, b) = _operands(subscripts, dtype, seed=1)
+        ref = einsum2(subscripts, a, b)
+        for view in (np.asfortranarray, lambda x: np.ascontiguousarray(x.T).T):
+            va, vb = view(a), view(b)
+            assert np.array_equal(va, a) and np.array_equal(vb, b)
+            if a.ndim > 1:
+                assert not va.flags.c_contiguous
+            assert np.array_equal(einsum2(subscripts, va, vb), ref)
+            assert np.array_equal(einsum2(subscripts, va, b), ref)
+            assert np.array_equal(einsum2(subscripts, a, vb), ref)
+
+    @pytest.mark.parametrize("subscripts", [
+        "ab,bc,cd->ad",  # three operands
+        "ab->ba",  # one operand
+        "ab,bc",  # no explicit output
+        "aab,bc->ac",  # letter repeated within one operand
+        "ab,bc->acc",  # letter repeated in the output
+        "ab,bc->abc",  # batch index: in both operands and the output
+        "ab,bc->acd",  # output letter in no operand
+        "ab,bc->c",  # letter summed within one operand
+        "a...,b->ab",  # not a letter
+    ])
+    def test_rejects_what_one_product_cannot_do(self, subscripts):
+        ops = [np.ones((2, 2))] * (subscripts.count(",") + 1)
+        with pytest.raises(ValueError):
+            einsum2(subscripts, *ops)
+
+    def test_rejects_operand_count_and_shapes(self):
+        a = np.ones((2, 3))
+        with pytest.raises(ValueError):
+            einsum2("ab,bc->ac", a)
+        with pytest.raises(ValueError):
+            einsum2("ab,bc->ac", a, a, a)
+        with pytest.raises(ValueError):
+            einsum2("ab,bc->ac", a, np.ones((2, 3)))  # summed dims differ
+        with pytest.raises(ValueError):
+            einsum2("ab,bc->ac", a, np.ones((3, 2, 2)))  # rank differs
+
+    def test_list_covers_every_call_site(self, monkeypatch):
+        # short runs through every path that calls einsum2 pass exactly
+        # the strings the tests above check
+        seen = set()
+        for mod in (imps, ipeps):
+            orig = mod.einsum2
+
+            def record(subscripts, *ops, _orig=orig):
+                seen.add(subscripts)
+                return _orig(subscripts, *ops)
+
+            monkeypatch.setattr(mod, "einsum2", record)
+        for model in (models.tfim_chain_model(0.8, 1.0), models.haldane_model()):
+            sched = imps.EvolutionSchedule(dtau=0.1, tau_max=0.2, D_max=4, seed=1)
+            imps.run_evolution_1d(model, sched, 4)
+            imps.canonical_defect(imps.final_state_1d(model, sched, 4))
+        for dim, scheme in ((2, "gates"), (2, "mpo"), (3, "mpo")):
+            sched = imps.EvolutionSchedule(
+                dtau=0.1, tau_max=0.2, scheme=scheme, D_max=2, seed=1)
+            ipeps.run_evolution_peps(models.tfim_model(dim, 0.2, 1.0), sched, 2)
+        assert seen == set(EINSUM2_SUBSCRIPTS)
