@@ -49,8 +49,8 @@ class RunConfig:
     J: float = 0.2
     g: float = 1.0
     scheme: str = "mpo"     # peps models only: mpo | gates
-    D: int | None = None          # bond dimension (oracle-random: Hilbert
-                                  # dimension >= 2); unset picks the per-model default
+    D: int | None = None          # bond dimension (oracle-random: Hilbert dimension,
+                                  # 2 to the oracle cap); unset picks the per-model default
     dtau: float | None = None     # unset picks the per-scheme default (0.2 mpo, 0.05 gates)
     tau_max: float | None = None  # unset picks a per-model default
     seed: int = 0
@@ -119,7 +119,8 @@ def write_summary(path: Path, record: dict) -> None:
 
 
 def _oracle_random_trace(cfg: RunConfig) -> tuple[GapTrace, dict]:
-    """Seeded random dense instance evolved exactly on a tau grid."""
+    """Seeded random dense instance evolved exactly on a tau grid, with
+    its exact gap and overlap class (the config records the rest)."""
     rng = np.random.default_rng(cfg.seed)
     dim = int(cfg.D)
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -131,24 +132,16 @@ def _oracle_random_trace(cfg: RunConfig) -> tuple[GapTrace, dict]:
     cls = oracle.classify_overlap(d, obs, phi0)
     if cls.kind is oracle.OverlapKind.NEITHER:
         raise RuntimeError("random instance satisfies neither overlap condition")
-    meta = {
-        "model": "oracle-random",
-        "scheme": "exact",
-        "D": dim,
-        "dtau": cfg.dtau,
-        "seed": cfg.seed,
-        "exact_gap": d.gap(),
-        "overlap_class": cls.kind.value,
-    }
+    info = {"exact_gap": d.gap(), "overlap_class": cls.kind.value}
     # the exact evolution needs no state beyond the step count
     trace = record_trace(
         0,
         lambda step: step + 1,
         lambda step: oracle.commutator_expectation_exact(
             d, obs, phi0, step * cfg.dtau),
-        cfg.dtau, cfg.tau_max, meta,
+        cfg.dtau, cfg.tau_max,
     )
-    return trace, meta
+    return trace, info
 
 
 def evolution_schedule(cfg: RunConfig) -> EvolutionSchedule:
@@ -166,8 +159,9 @@ def build_model(cfg: RunConfig) -> models.Model | None:
     """Lattice model of a resolved config (None for the dense oracle);
     ValueError when its parameters are invalid."""
     if cfg.model == "oracle-random":
-        if cfg.D < 2:
-            raise ValueError("oracle-random needs a Hilbert dimension D >= 2")
+        if not 2 <= cfg.D <= oracle.ORACLE_DIM_CAP:
+            raise ValueError("oracle-random needs a Hilbert dimension D in "
+                             f"[2, {oracle.ORACLE_DIM_CAP}]")
         return None
     if cfg.model == "haldane":
         return models.haldane_model()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,8 @@ SPIKE_HALFWIDTH = 5  # samples this close to it
 
 @dataclass
 class GapTrace:
-    """Samples (tau, C = ln|<i[H,O]>|) with run metadata.
+    """Samples (tau, C = ln|<i[H,O]>|) of one run; the run's inputs are
+    recorded in the CLI summary's ``cfg_*`` fields.
 
     tau is strictly increasing and C finite; dropped samples simply do not
     appear, which shows up as irregular tau spacing (a trace gap).
@@ -36,7 +37,6 @@ class GapTrace:
 
     taus: np.ndarray
     cs: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.taus = np.asarray(self.taus, dtype=float)
@@ -58,7 +58,6 @@ def record_trace(
     measure: Callable,
     dtau: float,
     tau_max: float,
-    metadata: dict,
 ) -> GapTrace:
     """Evolve ``state`` and sample C(tau) = ln|measure(state)| into a trace.
 
@@ -81,7 +80,7 @@ def record_trace(
                 c_start = c
             elif c - c_start < np.log(1e-14):
                 break
-    return GapTrace(np.array(taus), np.array(cs), metadata)
+    return GapTrace(np.array(taus), np.array(cs))
 
 
 @dataclass
@@ -114,7 +113,7 @@ def drop_spikes(trace: GapTrace) -> GapTrace:
             keep[i] = False
     if np.all(keep):
         return trace
-    return GapTrace(trace.taus[keep], trace.cs[keep], trace.metadata)
+    return GapTrace(trace.taus[keep], trace.cs[keep])
 
 
 def numerical_derivative(trace: GapTrace) -> tuple[np.ndarray, np.ndarray]:

@@ -329,18 +329,9 @@ def run_evolution_1d(
         seed = schedule.seed
     comm = model.commutator()
     state, advance = _setup_1d(model, schedule, D_max, seed)
-    metadata = {
-        "model": model.name,
-        "scheme": "tebd",
-        "D": D_max,
-        "dtau": schedule.dtau,
-        "seed": seed,
-        "tau_max": schedule.tau_max,
-        **model.params,
-    }
     return record_trace(
         state, advance, lambda st: expectation_terms_imps(st, comm),
-        schedule.dtau, schedule.tau_max, metadata,
+        schedule.dtau, schedule.tau_max,
     )
 
 

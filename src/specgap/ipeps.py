@@ -783,16 +783,7 @@ def run_evolution_peps(
                 st, _ = simple_update_bond(st, half_gates[b.axis], b, D_max)
             return st
 
-    metadata = {
-        "model": model.name,
-        "scheme": schedule.scheme,
-        "D": D_max,
-        "dtau": dtau,
-        "seed": schedule.seed,
-        "tau_max": schedule.tau_max,
-        **model.params,
-    }
     return record_trace(
         state, advance, lambda st: expectation_terms_peps(st, comm),
-        dtau, schedule.tau_max, metadata,
+        dtau, schedule.tau_max,
     )

@@ -12,7 +12,7 @@ matrix on the joint local space, factor order = sorted offsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,13 +55,12 @@ class OperatorTerms:
 
 @dataclass
 class Model:
-    """A lattice model bundled with its gap-creating observable."""
+    """A lattice model: its dimension, Hamiltonian and gap-creating
+    observable."""
 
-    name: str
     dimension: int
     hamiltonian: OperatorTerms
     gap_operator: OperatorTerms
-    params: dict = field(default_factory=dict)
 
     def commutator(self) -> OperatorTerms:
         """i[H, O] as local terms (Hermitian, real for the built-in models)."""
@@ -115,10 +114,7 @@ def haldane_gap_operator() -> OperatorTerms:
 
 
 def tfim_model(dimension: int, J: float, g: float) -> Model:
-    return Model(
-        f"tfim{dimension}d", dimension, tfim(dimension, J, g),
-        tfim_gap_operator(dimension), {"J": J, "g": g},
-    )
+    return Model(dimension, tfim(dimension, J, g), tfim_gap_operator(dimension))
 
 
 def tfim_chain_model(J: float, g: float) -> Model:
@@ -126,7 +122,7 @@ def tfim_chain_model(J: float, g: float) -> Model:
 
 
 def haldane_model() -> Model:
-    return Model("haldane", 1, haldane(), haldane_gap_operator(), {})
+    return Model(1, haldane(), haldane_gap_operator())
 
 
 # ---------------------------------------------------------------------------

@@ -52,16 +52,11 @@ class Mpo:
     """Uniform propagator tensor W[left, right, p_out, p_in] for one axis."""
 
     tensor: np.ndarray
-    dtau: float
     axis: int = 0
 
     @property
     def virtual_dim(self) -> int:
         return self.tensor.shape[0]
-
-    @property
-    def local_dim(self) -> int:
-        return self.tensor.shape[2]
 
 
 def hamiltonian_line_mpo(
@@ -150,7 +145,7 @@ def build_wii(blocks: MpoBlocks, dtau: float, axis: int = 0) -> Mpo:
 
     if not np.all(np.isfinite(w)):
         raise ArithmeticError("non-finite entries in propagator tensor")
-    return Mpo(tensor=w, dtau=dtau, axis=axis)
+    return Mpo(tensor=w, axis=axis)
 
 
 def line_hamiltonian_dense(blocks: MpoBlocks, n_sites: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import pytest
 
+from specgap import oracle
 from specgap.cli import (
     EXIT_NO_WINDOW,
     EXIT_OK,
@@ -171,14 +172,23 @@ class TestRun:
         for name in ("J", "g", "scheme"):
             assert f"cfg_{name}" not in summary
 
-    def test_oracle_random_honours_D(self, tmp_path):
+    def test_oracle_random_honours_D(self, tmp_path, monkeypatch):
+        shapes = []
+        decompose = oracle.spectral_decompose
+
+        def recording(h):
+            shapes.append(h.shape)
+            return decompose(h)
+
+        monkeypatch.setattr(oracle, "spectral_decompose", recording)
         code = main([
             "run", "--model", "oracle-random", "--D", "2", "--dtau", "0.1",
             "--tau_max", "30", "--outdir", str(tmp_path), "--tag", "two",
         ])
         assert code == EXIT_OK
+        assert shapes == [(2, 2)]
         summary = summary_dict(tmp_path / "two_summary.txt")
-        assert summary["cfg_D"] == summary["info_D"] == "2"
+        assert summary["cfg_D"] == "2"
 
     def test_oracle_random_D1_usage_error(self, tmp_path):
         code = main([
@@ -187,6 +197,16 @@ class TestRun:
         ])
         assert code == EXIT_USAGE
         assert not (tmp_path / "one_summary.txt").exists()
+
+    def test_oracle_random_above_cap_usage_error(self, tmp_path, monkeypatch):
+        # a small cap stands in for the real one, which would allocate ~1 GB
+        monkeypatch.setattr(oracle, "ORACLE_DIM_CAP", 8)
+        code = main([
+            "run", "--model", "oracle-random", "--D", "9", "--dtau", "0.1",
+            "--tau_max", "30", "--outdir", str(tmp_path), "--tag", "big",
+        ])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "big_summary.txt").exists()
 
     def test_csv_rows_parse_as_floats(self, tmp_path):
         code = main([

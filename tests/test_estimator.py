@@ -149,11 +149,9 @@ class TestFit:
         rng = np.random.default_rng(1)
         t = np.arange(0.0, 30.0, 0.2)
         c = 0.5 - 1.07 * t + 0.01 * rng.normal(size=t.size)
-        # one window policy: the scheme label does not widen the band
-        for metadata in ({}, {"scheme": "gates"}):
-            est = estimate_gap(GapTrace(t, c, metadata=metadata))
-            assert est.window is None, metadata
-            assert est.quality == QUALITY_NO_WINDOW, metadata
+        est = estimate_gap(GapTrace(t, c))
+        assert est.window is None
+        assert est.quality == QUALITY_NO_WINDOW
 
 
 class TestTraceValidation:
@@ -182,7 +180,7 @@ class TestRecordTrace:
             measured.append(st)
             return measure(st)
 
-        trace = record_trace(0, advance, probe, dtau, tau_max, {"tag": "synthetic"})
+        trace = record_trace(0, advance, probe, dtau, tau_max)
         return trace, advanced, measured
 
     def test_every_step_measured(self):
@@ -191,7 +189,6 @@ class TestRecordTrace:
         assert measured == list(range(11))
         assert np.array_equal(trace.taus, [0.1 * k for k in range(11)])
         assert np.array_equal(trace.cs, [-0.5 * k for k in range(11)])
-        assert trace.metadata == {"tag": "synthetic"}
 
     def test_zero_and_nonfinite_values_skipped(self):
         bad = {2: 0.0, 3: np.nan, 4: np.inf, 5: -np.inf}

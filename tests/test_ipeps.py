@@ -501,7 +501,7 @@ class TestSuperorthogonalize:
 class TestAxisMpo:
     def test_identity_propagator_is_noop(self):
         st = random_product_ipeps(2, 1, 3)
-        ident = Mpo(np.eye(2).reshape(1, 1, 2, 2), 0.1, 0)
+        ident = Mpo(np.eye(2).reshape(1, 1, 2, 2), 0)
         out, info = apply_axis_mpo(st, ident, 0, 4)
         assert np.max(np.abs(np.abs(out.tensors[0]) - np.abs(st.tensors[0]))) < 1e-12
 
@@ -557,7 +557,7 @@ class TestAxisMpo:
 
     def test_checkerboard_rejected(self):
         st = random_product_ipeps(2, 2, 1)
-        ident = Mpo(np.eye(2).reshape(1, 1, 2, 2), 0.1, 0)
+        ident = Mpo(np.eye(2).reshape(1, 1, 2, 2), 0)
         with pytest.raises(ValueError):
             apply_axis_mpo(st, ident, 0, 4)
 
