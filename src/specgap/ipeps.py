@@ -395,19 +395,27 @@ def _message_fixed_point(
     sizes = [lam[end].size for end in ends]
     splits = np.cumsum([n * n for n in sizes])[:-1]
 
-    def sweep(msgs):
+    def dress(end, m):
+        """The message ``m`` into ``end``, dressed with the bond's weights."""
+        w = lam[end]
+        return w[:, None] * m * w[None, :]
+
+    def dress_all(msgs):
+        return {end: dress(end, msgs[opposite[end]]) for end in ends}
+
+    def sweep(msgs, dressed):
+        """One Gauss-Seidel sweep from ``msgs``.  ``dressed`` holds their
+        weight-dressed form and follows the sweep's output in place: an
+        end's entry is rebuilt only when its source message moves."""
         out = dict(msgs)
-
-        def closure(site, leg):
-            w = lam[(site, leg)]
-            return w[:, None] * out[opposite[(site, leg)]] * w[None, :]
-
         delta = 0.0
         for axis, axis_ends in blocks:
-            shared = _axis_shared(st, axis, closure, bufs)
+            shared = _axis_shared(
+                st, axis, lambda site, leg: dressed[(site, leg)], bufs
+            )
             for site, leg, partner in axis_ends:
                 ket = _apply_on_leg(
-                    shared[site], partner, closure(site, partner), bufs[site][0]
+                    shared[site], partner, dressed[(site, partner)], bufs[site][0]
                 )
                 fresh = _hermitian_pair(bras[site], ket, leg)
                 tr = float(np.real(np.trace(fresh)))
@@ -416,6 +424,8 @@ def _message_fixed_point(
                 fresh = fresh * (fresh.shape[0] / tr)
                 delta = max(delta, float(np.max(np.abs(fresh - out[(site, leg)]))))
                 out[(site, leg)] = fresh
+                far = opposite[(site, leg)]
+                dressed[far] = dress(far, fresh)
         return out, delta
 
     def stack(msgs):
@@ -437,10 +447,11 @@ def _message_fixed_point(
         return msgs
 
     x = {end: np.eye(n) for end, n in zip(ends, sizes)}
+    dx = dress_all(x)
     fs: list[np.ndarray] = []
     gs: list[np.ndarray] = []
     for sweeps in range(1, MESSAGE_MAX_SWEEPS + 1):
-        out, delta = sweep(x)
+        out, delta = sweep(x, dx)
         if delta <= tol:
             return out, sweeps
         g = stack(out)
@@ -449,10 +460,11 @@ def _message_fixed_point(
         del fs[:-MESSAGE_ANDERSON_DEPTH - 1], gs[:-MESSAGE_ANDERSON_DEPTH - 1]
         x = out
         if len(fs) > 1 and delta <= MESSAGE_ANDERSON_START:
-            x = unstack(_anderson_mix(fs, gs))
-        if x is None:
-            fs, gs = fs[-1:], gs[-1:]
-            x = out
+            mixed = unstack(_anderson_mix(fs, gs))
+            if mixed is None:
+                fs, gs = fs[-1:], gs[-1:]
+            else:
+                x, dx = mixed, dress_all(mixed)
     warnings.warn(
         f"message fixed point unconverged after {MESSAGE_MAX_SWEEPS} sweeps "
         f"(last change {delta:.1e})",
