@@ -15,7 +15,9 @@ evolution schemes are provided:
   (2023)), so it runs no gauge fix;
 * mpo   -- one uniform propagator tensor per axis on the one-site cell,
   with the enlarged bonds brought to the superorthogonal gauge and cut
-  back to D there.
+  back to D there (Ran et al., PRB 86, 134429 (2012)).  When the first
+  gauge pass leaves a residual, the cut comes right after it, and the
+  second pass polishes only what is kept.
 
 Expectation values close every dangling bond with its weights (mean-field
 environment); in the superorthogonal gauge that closure is the bond-local
@@ -29,10 +31,12 @@ environments of one axis share the closures of every other axis, so those
 are applied to each site once per axis and reused for both ends.
 
 The bond environments are the fixed point of a Gauss-Seidel message
-sweep (belief propagation).  That sweep converges linearly, so near the
-fixed point its iterates are Anderson-mixed (Walker & Ni, SIAM J. Numer.
-Anal. 49, 1715 (2011)) over the last ``MESSAGE_ANDERSON_DEPTH`` sweeps; a
-mix that is not a usable set of messages falls back to the plain sweep.
+sweep (belief propagation), started from the weight-squared environments
+that the residual check has just computed.  That sweep converges
+linearly, so near the fixed point its iterates are Anderson-mixed (Walker
+& Ni, SIAM J. Numer. Anal. 49, 1715 (2011)) over the last
+``MESSAGE_ANDERSON_DEPTH`` sweeps; a mix that is not a usable set of
+messages falls back to the plain sweep.
 """
 
 from __future__ import annotations
@@ -340,7 +344,9 @@ MESSAGE_ANDERSON_DEPTH = 5
 # fitted gap would follow it
 MESSAGE_ANDERSON_START = 1e-3
 # passes of one gauge fix: the gauge at the message fixed point, then one
-# pass that polishes its rounding; further passes stay at the same floor
+# pass that polishes it, on bonds already cut to D_max when a cut is due;
+# on the enlarged bonds further passes stay at the floor their near-null
+# weights set
 SO_MAX_PASSES = 2
 # residual at which a gauge fix stops, and the message fixed point's tolerance
 SO_TOL = 1e-10
@@ -358,17 +364,30 @@ def _anderson_mix(fs: list[np.ndarray], gs: list[np.ndarray]) -> np.ndarray:
     return gs[-1] - np.diff(np.array(gs), axis=0).T @ gamma
 
 
+def _usable_message(m: np.ndarray) -> np.ndarray | None:
+    """``m`` hermitized and trace-normalized, or None when its trace is
+    not positive."""
+    m = 0.5 * (m + m.conj().T)
+    tr = float(np.real(np.trace(m)))
+    if tr <= 0.0:
+        return None
+    return m * (m.shape[0] / tr)
+
+
 def _message_fixed_point(
-    st: IPepsState, tol: float
+    st: IPepsState, tol: float, start: dict | None = None
 ) -> tuple[dict[tuple[int, int], np.ndarray], int]:
     """Outgoing bond environments out[(site, leg)] solved self-consistently,
     and the number of sweeps it took.
 
     out[(i, l)] is the environment of leg l seen from site i when every
     other leg of i is closed with the weight-dressed message coming in
-    from its own neighbor.  Identity messages (the plain weight-squared
-    closure) are the starting point; at the gauge fixed point the solution
-    is the identity again.  Messages are trace-normalized.
+    from its own neighbor.  The solve starts from ``start``, a table of
+    environments per end (hermitized and trace-normalized here), or from
+    identity messages when it is None.  The plain weight-squared
+    environments (``_all_grams``) are one Jacobi sweep from identity
+    messages; at the gauge fixed point the solution is the identity again.
+    Messages are trace-normalized.
 
     One Gauss-Seidel sweep updates the ends axis by axis, in bond order.
     Once a sweep changed no entry by more than ``MESSAGE_ANDERSON_START``,
@@ -438,15 +457,17 @@ def _message_fixed_point(
             return None
         msgs = {}
         for end, n, m in zip(ends, sizes, np.split(v, splits)):
-            m = m.reshape(n, n)
-            m = 0.5 * (m + m.conj().T)
-            tr = float(np.real(np.trace(m)))
-            if tr <= 0.0:
+            msgs[end] = _usable_message(m.reshape(n, n))
+            if msgs[end] is None:
                 return None
-            msgs[end] = m * (n / tr)
         return msgs
 
-    x = {end: np.eye(n) for end, n in zip(ends, sizes)}
+    if start is None:
+        x = {end: np.eye(n) for end, n in zip(ends, sizes)}
+    else:
+        x = {end: _usable_message(start[end]) for end in ends}
+        if any(m is None for m in x.values()):
+            raise RuntimeError("bond environment collapsed to zero")
     dx = dress_all(x)
     fs: list[np.ndarray] = []
     gs: list[np.ndarray] = []
@@ -474,30 +495,46 @@ def _message_fixed_point(
     return out, MESSAGE_MAX_SWEEPS
 
 
+def _rescaled_grams(state: IPepsState):
+    """Bond environments of ``state`` after its per-site rescale (done in
+    place), and the residual they give."""
+    grams = _all_grams(state)
+    _rescale_sites(state, grams)
+    return grams, _residual_from_grams(state, grams)
+
+
 def superorthogonalize(
     state: IPepsState,
     so_tol: float = SO_TOL,
     max_iter: int = SO_MAX_PASSES,
+    D_max: int | None = None,
 ) -> tuple[IPepsState, SuperorthResult]:
     """Gauge fixing toward the superorthogonal form in at most ``max_iter``
     passes.
 
     Each pass solves the bond environments self-consistently (message
-    iteration) and then rotates every bond so both of its environments
-    become the identity; the inserted maps and the new weights multiply
-    back to the old weights, so the state itself never changes.  Stops at
+    iteration, started from the environments the residual was last read
+    from) and then rotates every bond so both of its environments become
+    the identity; the inserted maps and the new weights multiply back to
+    the old weights, so the state itself never changes.  Stops at
     residual ``so_tol`` (also the message iteration's tolerance) or after
-    ``max_iter`` passes; non-convergence is flagged on the result and the
-    last iterate is returned.
+    ``max_iter`` passes.
+
+    With ``D_max``, a pass that leaves the residual above ``so_tol`` while
+    a bond is wider than ``D_max`` is followed by the cut of every bond to
+    ``D_max`` (``truncate_bonds``) in the gauge that pass reached, and the
+    next pass polishes the cut state.  The near-null weights of enlarged
+    bonds set the residual's floor there, and the cut drops them.  A state
+    that meets ``so_tol`` before any cut is returned uncut.  The residual,
+    the ``converged`` flag and the stall warning describe the returned
+    state.
     """
     st = state.copy()
-    grams = _all_grams(st)
-    _rescale_sites(st, grams)
-    residual = _residual_from_grams(st, grams)
+    grams, residual = _rescaled_grams(st)
     iterations = 0
     sweeps = 0
     while iterations < max_iter and residual > so_tol:
-        msgs, n_sweeps = _message_fixed_point(st, tol=so_tol)
+        msgs, n_sweeps = _message_fixed_point(st, so_tol, grams)
         sweeps += n_sweeps
         for b in bond_list(st):
             lam = st.lams[b.key]
@@ -512,10 +549,11 @@ def superorthogonalize(
             g_j = y_inv @ vh.T
             st.tensors[b.i_site] = _apply_on_leg(st.tensors[b.i_site], b.i_leg, g_i)
             st.tensors[b.j_site] = _apply_on_leg(st.tensors[b.j_site], b.j_leg, g_j)
-        grams = _all_grams(st)
-        _rescale_sites(st, grams)
-        residual = _residual_from_grams(st, grams)
         iterations += 1
+        grams, residual = _rescaled_grams(st)
+        if residual > so_tol and D_max is not None and st.max_bond() > D_max:
+            st, _ = truncate_bonds(st, D_max)
+            grams, residual = _rescaled_grams(st)
     converged = residual <= so_tol
     if residual > SO_WARN_RESIDUAL:
         warnings.warn(
@@ -555,6 +593,11 @@ def apply_axis_mpo(
     The propagator's virtual channels merge into the two bonds along the
     axis (D -> D * Dw, old bond index slower), the state is brought to the
     superorthogonal gauge, and the enlarged bonds are cut back to D_max.
+    A first gauge pass that ends above ``SO_TOL`` is followed by the cut,
+    and the second pass polishes the cut state; the result describes the
+    returned state.  A gauge that meets ``SO_TOL`` on the enlarged bonds
+    is cut afterwards; the result then describes the state before that
+    cut, which moves the residual by about the discarded weight.
     """
     if state.n_sites != 1:
         raise ValueError("axis propagators act on the one-site unit cell")
@@ -581,7 +624,7 @@ def apply_axis_mpo(
     st.tensors[0] = merged
     lam = st.lams[(axis, 0)]
     st.lams[(axis, 0)] = np.kron(lam, np.ones(dw)) / np.sqrt(dw)
-    st, info = superorthogonalize(st, SO_TOL, SO_MAX_PASSES)
+    st, info = superorthogonalize(st, SO_TOL, SO_MAX_PASSES, D_max=D_max)
     st, _ = truncate_bonds(st, D_max)
     return st, info
 

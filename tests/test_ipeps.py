@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -272,9 +274,9 @@ class TestMessageFixedPoint:
         inputs = []
         inner = ipeps.superorthogonalize
 
-        def keep_input(st, *args):
+        def keep_input(st, *args, **kwargs):
             inputs.append(st.copy())
-            return inner(st, *args)
+            return inner(st, *args, **kwargs)
 
         monkeypatch.setattr(ipeps, "superorthogonalize", keep_input)
         st = random_product_ipeps(3, 1, 753)
@@ -285,6 +287,23 @@ class TestMessageFixedPoint:
         assert sweeps < plain < 2000
         for end in ref:
             assert np.max(np.abs(got[end] - ref[end])) <= 1e-8
+        # the gauge fix's own start, the weight-squared environments, too
+        got, _ = ipeps._message_fixed_point(
+            inputs[5], 1e-12, ipeps._all_grams(inputs[5]))
+        for end in ref:
+            assert np.max(np.abs(got[end] - ref[end])) <= 1e-8
+
+    @MESSAGE_STATES
+    def test_start_from_grams_reaches_same_messages(self, make):
+        # the gauge fix starts each solve from the weight-squared bond
+        # environments; the fixed point must be the one identity reaches
+        st = make()
+        ref, _ = ipeps._message_fixed_point(st, tol=1e-12)
+        got, sweeps = ipeps._message_fixed_point(st, 1e-12, ipeps._all_grams(st))
+        assert list(got) == list(ref)
+        for end in ref:
+            assert np.max(np.abs(got[end] - ref[end])) <= 1e-8
+        assert 1 < sweeps < ipeps.MESSAGE_MAX_SWEEPS
 
     def test_fewer_sweeps_than_plain(self):
         st = kernel_state((2, 3, 3, 2, 2, 2, 2), 0, float)
@@ -457,9 +476,9 @@ class TestSuperorthogonalize:
         counts = []
         inner = ipeps._message_fixed_point
 
-        def counted(st, tol):
+        def counted(st, tol, start):
             # loose messages leave a residual that takes further passes
-            msgs, sweeps = inner(st, 1e-4)
+            msgs, sweeps = inner(st, 1e-4, start)
             counts.append(sweeps)
             return msgs, sweeps
 
@@ -471,13 +490,33 @@ class TestSuperorthogonalize:
     def test_at_most_two_passes(self, monkeypatch):
         inner = ipeps._message_fixed_point
 
-        def loose(st, tol):
+        def loose(st, tol, start):
             # loose messages leave a residual that further passes would cut
-            return inner(st, 1e-4)
+            return inner(st, 1e-4, start)
 
         monkeypatch.setattr(ipeps, "_message_fixed_point", loose)
         _, info = superorthogonalize(random_d2_state(0), so_tol=1e-10)
         assert info.iterations == ipeps.SO_MAX_PASSES == 2
+
+    def test_stall_warns(self, monkeypatch):
+        inner = ipeps._message_fixed_point
+
+        def loose(st, tol, start):
+            # one pass on messages this loose leaves the gauge far off
+            return inner(st, 1e-1, start)
+
+        monkeypatch.setattr(ipeps, "_message_fixed_point", loose)
+        with pytest.warns(RuntimeWarning, match="stalled") as record:
+            _, info = superorthogonalize(random_d2_state(0), so_tol=1e-10,
+                                         max_iter=1)
+        assert not info.converged and info.residual > ipeps.SO_WARN_RESIDUAL
+        assert f"{info.residual:.2e}" in str(record[0].message)
+
+    def test_converged_call_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, info = superorthogonalize(random_d2_state(1), so_tol=1e-10)
+        assert info.converged
 
     def test_unconverged_messages_warn(self, monkeypatch):
         monkeypatch.setattr(ipeps, "MESSAGE_MAX_SWEEPS", 1)
@@ -554,6 +593,44 @@ class TestAxisMpo:
         out, _ = apply_axis_mpo(st, w, 0, 4)
         assert out.max_bond() == 1
         assert np.max(np.abs(out.tensors[0] - st.tensors[0])) < 1e-12
+
+    def test_returned_state_matches_its_result(self):
+        # an evolved 2D state: every bond comes back cut to D_max, and the
+        # result's residual is the returned state's own
+        m = tfim_model(2, 0.2, 1.0)
+        sch = EvolutionSchedule(dtau=0.2, tau_max=1.0, scheme="mpo", D_max=4, seed=11)
+        st = _evolved_state(m, sch, 4)
+        site_h, bond_h = split_hamiltonian(m.hamiltonian, 2)
+        for a in (0, 1):
+            w = build_wii(hamiltonian_line_mpo(bond_h[a], site_h, 0.5), 0.2, a)
+            out, info = apply_axis_mpo(st, w, a, 4)
+            assert out.max_bond() <= 4
+            assert info.iterations >= 1
+            assert superorthogonality_residual(out) == pytest.approx(
+                info.residual, rel=1e-6, abs=1e-14)
+            assert info.converged == (info.residual <= ipeps.SO_TOL)
+            st = out
+
+    def test_cut_state_is_polished(self, monkeypatch):
+        # a pass that leaves the enlarged state off the gauge is followed
+        # by a cut there; the next pass runs on bonds of at most D_max
+        m = tfim_model(2, 0.2, 1.0)
+        sch = EvolutionSchedule(dtau=0.2, tau_max=1.0, scheme="mpo", D_max=4, seed=11)
+        st = _evolved_state(m, sch, 4)
+        site_h, bond_h = split_hamiltonian(m.hamiltonian, 2)
+        w = build_wii(hamiltonian_line_mpo(bond_h[0], site_h, 0.5), 0.2, 0)
+        widths = []
+        inner = ipeps._message_fixed_point
+
+        def loose_first(st, tol, start):
+            widths.append(st.max_bond())
+            return inner(st, 1e-4 if len(widths) == 1 else tol, start)
+
+        monkeypatch.setattr(ipeps, "_message_fixed_point", loose_first)
+        out, info = apply_axis_mpo(st, w, 0, 4)
+        assert widths == [4 * w.virtual_dim, 4]
+        assert info.iterations == 2 and info.converged
+        assert superorthogonality_residual(out) <= ipeps.SO_TOL
 
     def test_checkerboard_rejected(self):
         st = random_product_ipeps(2, 2, 1)
