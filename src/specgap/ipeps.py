@@ -466,8 +466,6 @@ def _message_fixed_point(
         x = {end: np.eye(n) for end, n in zip(ends, sizes)}
     else:
         x = {end: _usable_message(start[end]) for end in ends}
-        if any(m is None for m in x.values()):
-            raise RuntimeError("bond environment collapsed to zero")
     dx = dress_all(x)
     fs: list[np.ndarray] = []
     gs: list[np.ndarray] = []

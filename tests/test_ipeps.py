@@ -594,15 +594,22 @@ class TestAxisMpo:
         assert out.max_bond() == 1
         assert np.max(np.abs(out.tensors[0] - st.tensors[0])) < 1e-12
 
-    def test_returned_state_matches_its_result(self):
-        # an evolved 2D state: every bond comes back cut to D_max, and the
-        # result's residual is the returned state's own
+    @staticmethod
+    def evolved_d4():
+        """A 2D D=4 state five mpo steps from seed 11, and the two axis
+        propagators."""
         m = tfim_model(2, 0.2, 1.0)
         sch = EvolutionSchedule(dtau=0.2, tau_max=1.0, scheme="mpo", D_max=4, seed=11)
-        st = _evolved_state(m, sch, 4)
         site_h, bond_h = split_hamiltonian(m.hamiltonian, 2)
-        for a in (0, 1):
-            w = build_wii(hamiltonian_line_mpo(bond_h[a], site_h, 0.5), 0.2, a)
+        mpos = [build_wii(hamiltonian_line_mpo(bond_h[a], site_h, 0.5), 0.2, a)
+                for a in (0, 1)]
+        return _evolved_state(m, sch, 4), mpos
+
+    def test_returned_state_matches_its_result(self):
+        # every bond comes back cut to D_max, and the result's residual is
+        # the returned state's own
+        st, mpos = self.evolved_d4()
+        for a, w in enumerate(mpos):
             out, info = apply_axis_mpo(st, w, a, 4)
             assert out.max_bond() <= 4
             assert info.iterations >= 1
@@ -614,11 +621,7 @@ class TestAxisMpo:
     def test_cut_state_is_polished(self, monkeypatch):
         # a pass that leaves the enlarged state off the gauge is followed
         # by a cut there; the next pass runs on bonds of at most D_max
-        m = tfim_model(2, 0.2, 1.0)
-        sch = EvolutionSchedule(dtau=0.2, tau_max=1.0, scheme="mpo", D_max=4, seed=11)
-        st = _evolved_state(m, sch, 4)
-        site_h, bond_h = split_hamiltonian(m.hamiltonian, 2)
-        w = build_wii(hamiltonian_line_mpo(bond_h[0], site_h, 0.5), 0.2, 0)
+        st, (w, _) = self.evolved_d4()
         widths = []
         inner = ipeps._message_fixed_point
 
