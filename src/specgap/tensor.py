@@ -33,6 +33,7 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
 
 # relative singular-value floor of every bond cut (drops float noise)
 SVD_CUT = 1e-14
@@ -185,11 +186,50 @@ def eigh_counted(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(mat)
 
 
+class _QrPlan(NamedTuple):
+    """LAPACK routines of a reduced QR of one matrix shape and dtype, with
+    the optimal workspace of each, and the mask of the entries below R's
+    diagonal."""
+
+    geqrf: object
+    lwork_f: int
+    orgqr: object
+    lwork_q: int
+    below: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _qr_plan(dtype: np.dtype, m: int, n: int) -> _QrPlan:
+    """``geqrf`` and ``orgqr`` (``ungqr`` for complex) for an m x n matrix
+    of ``dtype``, looked up once.  The workspaces are the ones LAPACK asks
+    for, as in ``np.linalg.qr``: a smaller one changes the blocking, and
+    with it the bits."""
+    proto = np.zeros((m, n), dtype)
+    geqrf, orgqr = get_lapack_funcs(("geqrf", "orgqr"), (proto,))
+    k = min(m, n)
+    lwork_f = int(np.real(geqrf(proto, -1)[2][0]))
+    lwork_q = int(np.real(orgqr(proto[:, :k], np.zeros(k, dtype), -1)[1][0]))
+    return _QrPlan(geqrf, max(1, n, lwork_f), orgqr, max(1, k, lwork_q),
+                   np.tri(k, n, -1, dtype=bool))
+
+
 def qr_counted(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR with operation accounting."""
+    """Reduced QR with operation accounting.
+
+    The LAPACK calls of ``np.linalg.qr`` without its Python wrapper, so Q
+    (in Fortran order) and R carry the same bits.  A LAPACK error code
+    raises ``np.linalg.LinAlgError``.
+    """
     m, n = mat.shape
     add_work(2.0 * m * n * min(m, n))
-    return np.linalg.qr(mat)
+    plan = _qr_plan(mat.dtype, m, n)
+    k = min(m, n)
+    qr, tau, _, info = plan.geqrf(mat, plan.lwork_f)
+    if info == 0:
+        q, _, info = plan.orgqr(qr[:, :k], tau, plan.lwork_q)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"QR factorization failed (LAPACK info {info})")
+    return q, np.where(plan.below, 0.0, qr[:k])
 
 
 def psd_factor(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

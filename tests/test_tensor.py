@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from specgap import imps, ipeps, models
-from specgap.tensor import (choose_rank, einsum2, reset_work, svd_fixed,
-                            truncated_svd, work_count)
+from specgap.tensor import (choose_rank, einsum2, qr_counted, reset_work,
+                            svd_fixed, truncated_svd, work_count)
 
 # every subscript string the package passes to einsum2, by call site
 EINSUM2_SUBSCRIPTS = [
@@ -235,3 +235,23 @@ class TestEinsum2:
                 dtau=0.1, tau_max=0.2, scheme=scheme, D_max=2, seed=1)
             ipeps.run_evolution_peps(models.tfim_model(dim, 0.2, 1.0), sched, 2)
         assert seen == set(EINSUM2_SUBSCRIPTS)
+
+
+class TestQrCounted:
+    # tall, square and wide; the 200 x 200 case is wide enough for the
+    # blocked factorization, whose blocking depends on the workspace
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("shape", [(64, 8), (8, 8), (8, 64), (200, 200)])
+    def test_same_bits_as_numpy_and_counts(self, shape, dtype):
+        rng = np.random.default_rng(3)
+        mat = rng.normal(size=shape)
+        if dtype is complex:
+            mat = mat + 1j * rng.normal(size=shape)
+        reset_work()
+        q, r = qr_counted(mat)
+        m, n = shape
+        assert work_count() == 2.0 * m * n * min(m, n)
+        q_ref, r_ref = np.linalg.qr(mat)
+        for got, ref in ((q, q_ref), (r, r_ref)):
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert np.ascontiguousarray(got).tobytes() == ref.tobytes()
