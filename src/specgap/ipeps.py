@@ -15,9 +15,10 @@ evolution schemes are provided:
   (2023)), so it runs no gauge fix;
 * mpo   -- one uniform propagator tensor per axis on the one-site cell,
   with the enlarged bonds brought to the superorthogonal gauge and cut
-  back to D there (Ran et al., PRB 86, 134429 (2012)).  When the first
-  gauge pass leaves a residual, the cut comes right after it, and the
-  second pass polishes only what is kept.
+  back to D there (Ran et al., PRB 86, 134429 (2012)).  The first gauge
+  pass solves the enlarged bonds' messages only as far as the cut needs
+  to choose its directions, the cut comes right after it, and the second
+  pass polishes only what is kept.
 
 Expectation values close every dangling bond with its weights (mean-field
 environment); in the superorthogonal gauge that closure is the bond-local
@@ -341,12 +342,13 @@ MESSAGE_ANDERSON_DEPTH = 5
 # mixing starts once a plain sweep moves no entry by more than this;
 # farther out, the mix can converge onto an unstable fixed point of the
 # sweep, one that plain sweeps move away from, and the gauge and the
-# fitted gap would follow it
+# fitted gap would follow it.  It is also the message tolerance of a pass
+# on bonds wider than D_max: that gauge only chooses the directions the
+# cut drops, and its solve stops before any mix
 MESSAGE_ANDERSON_START = 1e-3
-# passes of one gauge fix: the gauge at the message fixed point, then one
-# pass that polishes it, on bonds already cut to D_max when a cut is due;
-# on the enlarged bonds further passes stay at the floor their near-null
-# weights set
+# passes of one gauge fix: when a cut is due, one pass on the enlarged
+# bonds and the cut, then one polish of the cut state; otherwise the
+# gauge at the message fixed point and one polish
 SO_MAX_PASSES = 2
 # residual at which a gauge fix stops, and the message fixed point's tolerance
 SO_TOL = 1e-10
@@ -518,21 +520,26 @@ def superorthogonalize(
     residual ``so_tol`` (also the message iteration's tolerance) or after
     ``max_iter`` passes.
 
-    With ``D_max``, a pass that leaves the residual above ``so_tol`` while
-    a bond is wider than ``D_max`` is followed by the cut of every bond to
-    ``D_max`` (``truncate_bonds``) in the gauge that pass reached, and the
-    next pass polishes the cut state.  The near-null weights of enlarged
-    bonds set the residual's floor there, and the cut drops them.  A state
-    that meets ``so_tol`` before any cut is returned uncut.  The residual,
-    the ``converged`` flag and the stall warning describe the returned
-    state.
+    With ``D_max``, a pass on a state with a bond wider than ``D_max``
+    solves its messages only to ``MESSAGE_ANDERSON_START``, by plain
+    sweeps: that gauge only chooses which directions the cut drops.  Every
+    bond is then cut to ``D_max`` (``truncate_bonds``) at once, whatever
+    the residual, and later passes polish the cut state to ``so_tol``.  A
+    wide state runs that pass even when it meets ``so_tol`` on entry, so
+    with ``max_iter >= 1`` every returned bond is at most ``D_max``.  The
+    residual, the ``converged`` flag and the stall warning describe the
+    returned state.
     """
     st = state.copy()
     grams, residual = _rescaled_grams(st)
     iterations = 0
     sweeps = 0
-    while iterations < max_iter and residual > so_tol:
-        msgs, n_sweeps = _message_fixed_point(st, so_tol, grams)
+    while iterations < max_iter:
+        cut = D_max is not None and st.max_bond() > D_max
+        if residual <= so_tol and not cut:
+            break
+        msgs, n_sweeps = _message_fixed_point(
+            st, MESSAGE_ANDERSON_START if cut else so_tol, grams)
         sweeps += n_sweeps
         for b in bond_list(st):
             lam = st.lams[b.key]
@@ -548,10 +555,9 @@ def superorthogonalize(
             st.tensors[b.i_site] = _apply_on_leg(st.tensors[b.i_site], b.i_leg, g_i)
             st.tensors[b.j_site] = _apply_on_leg(st.tensors[b.j_site], b.j_leg, g_j)
         iterations += 1
-        grams, residual = _rescaled_grams(st)
-        if residual > so_tol and D_max is not None and st.max_bond() > D_max:
+        if cut:
             st, _ = truncate_bonds(st, D_max)
-            grams, residual = _rescaled_grams(st)
+        grams, residual = _rescaled_grams(st)
     converged = residual <= so_tol
     if residual > SO_WARN_RESIDUAL:
         warnings.warn(
@@ -589,13 +595,9 @@ def apply_axis_mpo(
     """Contract one axis propagator into the site tensor and re-truncate.
 
     The propagator's virtual channels merge into the two bonds along the
-    axis (D -> D * Dw, old bond index slower), the state is brought to the
-    superorthogonal gauge, and the enlarged bonds are cut back to D_max.
-    A first gauge pass that ends above ``SO_TOL`` is followed by the cut,
-    and the second pass polishes the cut state; the result describes the
-    returned state.  A gauge that meets ``SO_TOL`` on the enlarged bonds
-    is cut afterwards; the result then describes the state before that
-    cut, which moves the residual by about the discarded weight.
+    axis (D -> D * Dw, old bond index slower), and ``superorthogonalize``
+    with ``D_max`` gauges the enlarged bonds, cuts them back to D_max and
+    polishes the cut state; the result describes the returned state.
     """
     if state.n_sites != 1:
         raise ValueError("axis propagators act on the one-site unit cell")
@@ -622,9 +624,7 @@ def apply_axis_mpo(
     st.tensors[0] = merged
     lam = st.lams[(axis, 0)]
     st.lams[(axis, 0)] = np.kron(lam, np.ones(dw)) / np.sqrt(dw)
-    st, info = superorthogonalize(st, SO_TOL, SO_MAX_PASSES, D_max=D_max)
-    st, _ = truncate_bonds(st, D_max)
-    return st, info
+    return superorthogonalize(st, SO_TOL, SO_MAX_PASSES, D_max=D_max)
 
 
 @functools.lru_cache(maxsize=None)

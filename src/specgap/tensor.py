@@ -216,9 +216,10 @@ def _qr_plan(dtype: np.dtype, m: int, n: int) -> _QrPlan:
 def qr_counted(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced QR with operation accounting.
 
-    The LAPACK calls of ``np.linalg.qr`` without its Python wrapper, so Q
-    (in Fortran order) and R carry the same bits.  A LAPACK error code
-    raises ``np.linalg.LinAlgError``.
+    The LAPACK calls of ``np.linalg.qr``, with its workspaces, without its
+    Python wrapper, made through scipy's LAPACK; where that build computes
+    as numpy's does, Q (in Fortran order) and R carry the same bits.  A
+    LAPACK error code raises ``np.linalg.LinAlgError``.
     """
     m, n = mat.shape
     add_work(2.0 * m * n * min(m, n))

@@ -518,6 +518,16 @@ class TestSuperorthogonalize:
             _, info = superorthogonalize(random_d2_state(1), so_tol=1e-10)
         assert info.converged
 
+    def test_wide_state_in_gauge_is_cut(self):
+        # a state already at so_tol on entry still gets its cut when a bond
+        # is wider than D_max, and the result describes the cut state
+        base, _ = superorthogonalize(random_d2_state(2), so_tol=1e-12)
+        assert superorthogonality_residual(base) <= ipeps.SO_TOL
+        out, info = superorthogonalize(base, ipeps.SO_TOL, 2, D_max=1)
+        assert out.max_bond() == 1 and info.iterations >= 1
+        assert superorthogonality_residual(out) == pytest.approx(
+            info.residual, abs=1e-14)
+
     def test_unconverged_messages_warn(self, monkeypatch):
         monkeypatch.setattr(ipeps, "MESSAGE_MAX_SWEEPS", 1)
         with pytest.warns(RuntimeWarning, match="message fixed point unconverged"):
@@ -595,23 +605,25 @@ class TestAxisMpo:
         assert np.max(np.abs(out.tensors[0] - st.tensors[0])) < 1e-12
 
     @staticmethod
-    def evolved_d4():
-        """A 2D D=4 state five mpo steps from seed 11, and the two axis
-        propagators."""
-        m = tfim_model(2, 0.2, 1.0)
-        sch = EvolutionSchedule(dtau=0.2, tau_max=1.0, scheme="mpo", D_max=4, seed=11)
-        site_h, bond_h = split_hamiltonian(m.hamiltonian, 2)
-        mpos = [build_wii(hamiltonian_line_mpo(bond_h[a], site_h, 0.5), 0.2, a)
-                for a in (0, 1)]
-        return _evolved_state(m, sch, 4), mpos
+    def evolved(dim, J, D):
+        """A D-bond state five mpo steps (dtau 0.2) from seed 11, and its
+        axis propagators."""
+        m = tfim_model(dim, J, 1.0)
+        sch = EvolutionSchedule(dtau=0.2, tau_max=1.0, scheme="mpo", D_max=D, seed=11)
+        site_h, bond_h = split_hamiltonian(m.hamiltonian, dim)
+        mpos = [build_wii(hamiltonian_line_mpo(bond_h[a], site_h, 1.0 / dim), 0.2, a)
+                for a in range(dim)]
+        return _evolved_state(m, sch, D), mpos
 
-    def test_returned_state_matches_its_result(self):
+    @pytest.mark.parametrize("dim,J,D", [(2, 0.2, 4), (3, 0.15, 3)],
+                             ids=["2d", "3d"])
+    def test_returned_state_matches_its_result(self, dim, J, D):
         # every bond comes back cut to D_max, and the result's residual is
         # the returned state's own
-        st, mpos = self.evolved_d4()
+        st, mpos = self.evolved(dim, J, D)
         for a, w in enumerate(mpos):
-            out, info = apply_axis_mpo(st, w, a, 4)
-            assert out.max_bond() <= 4
+            out, info = apply_axis_mpo(st, w, a, D)
+            assert out.max_bond() <= D
             assert info.iterations >= 1
             assert superorthogonality_residual(out) == pytest.approx(
                 info.residual, rel=1e-6, abs=1e-14)
@@ -619,20 +631,28 @@ class TestAxisMpo:
             st = out
 
     def test_cut_state_is_polished(self, monkeypatch):
-        # a pass that leaves the enlarged state off the gauge is followed
-        # by a cut there; the next pass runs on bonds of at most D_max
-        st, (w, _) = self.evolved_d4()
-        widths = []
-        inner = ipeps._message_fixed_point
+        # plain sweeps to MESSAGE_ANDERSON_START on the enlarged bonds, the
+        # cut right after that pass, then the polish at D_max to SO_TOL
+        st, (w, _) = self.evolved(2, 0.2, 4)
+        solves, mixes = [], []
+        inner_solve, inner_mix = ipeps._message_fixed_point, ipeps._anderson_mix
 
-        def loose_first(st, tol, start):
-            widths.append(st.max_bond())
-            return inner(st, 1e-4 if len(widths) == 1 else tol, start)
+        def recorded(st, tol, start):
+            solves.append((st.max_bond(), tol))
+            return inner_solve(st, tol, start)
 
-        monkeypatch.setattr(ipeps, "_message_fixed_point", loose_first)
+        def recorded_mix(fs, gs):
+            mixes.append(solves[-1][0])
+            return inner_mix(fs, gs)
+
+        monkeypatch.setattr(ipeps, "_message_fixed_point", recorded)
+        monkeypatch.setattr(ipeps, "_anderson_mix", recorded_mix)
         out, info = apply_axis_mpo(st, w, 0, 4)
-        assert widths == [4 * w.virtual_dim, 4]
+        assert solves == [(4 * w.virtual_dim, ipeps.MESSAGE_ANDERSON_START),
+                          (4, ipeps.SO_TOL)]
+        assert all(width <= 4 for width in mixes)
         assert info.iterations == 2 and info.converged
+        assert out.max_bond() == 4
         assert superorthogonality_residual(out) <= ipeps.SO_TOL
 
     def test_checkerboard_rejected(self):

@@ -241,7 +241,8 @@ class TestQrCounted:
     # tall, square and wide; the 200 x 200 case is wide enough for the
     # blocked factorization, whose blocking depends on the workspace
     @pytest.mark.parametrize("dtype", [float, complex])
-    @pytest.mark.parametrize("shape", [(64, 8), (8, 8), (8, 64), (200, 200)])
+    @pytest.mark.parametrize("shape", [(64, 8), (8, 8), (8, 64), (200, 200)],
+                             ids=["tall", "square", "wide", "blocked"])
     def test_same_bits_as_numpy_and_counts(self, shape, dtype):
         rng = np.random.default_rng(3)
         mat = rng.normal(size=shape)
