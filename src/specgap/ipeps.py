@@ -517,8 +517,8 @@ def superorthogonalize(
     from) and then rotates every bond so both of its environments become
     the identity; the inserted maps and the new weights multiply back to
     the old weights, so the state itself never changes.  Stops at
-    residual ``so_tol`` (also the message iteration's tolerance) or after
-    ``max_iter`` passes.
+    residual ``so_tol`` (also the message iteration's tolerance, except on
+    a pass that cuts) or after ``max_iter`` passes.
 
     With ``D_max``, a pass on a state with a bond wider than ``D_max``
     solves its messages only to ``MESSAGE_ANDERSON_START``, by plain
