@@ -70,6 +70,8 @@ class RunConfig:
                      "oracle-random": 10}[cfg.model]
         if not cfg.tag:
             cfg.tag = cfg.model
+        if Path(cfg.tag).name != cfg.tag:
+            raise ValueError(f"tag {cfg.tag!r} must be a file name, not a path")
         return cfg
 
 
@@ -93,11 +95,6 @@ def parse_config_file(path: str) -> dict:
 def _parser(f) -> type:
     """How a flag or config value of ``RunConfig`` field ``f`` is read."""
     return {"int": int, "float": float}.get(f.type.removesuffix(" | None"), str)
-
-
-def _coerce(cfg_kwargs: dict) -> dict:
-    parsers = {f.name: _parser(f) for f in fields(RunConfig)}
-    return {key: parsers[key](val) for key, val in cfg_kwargs.items()}
 
 
 def _format(value) -> str:
@@ -144,17 +141,6 @@ def _oracle_random_trace(cfg: RunConfig) -> tuple[GapTrace, dict]:
     return trace, info
 
 
-def evolution_schedule(cfg: RunConfig) -> EvolutionSchedule:
-    """Schedule of a resolved config; ValueError when it is invalid."""
-    return EvolutionSchedule(
-        dtau=cfg.dtau,
-        tau_max=cfg.tau_max,
-        scheme=cfg.scheme,
-        D_max=cfg.D,
-        seed=cfg.seed,
-    )
-
-
 def build_model(cfg: RunConfig) -> models.Model | None:
     """Lattice model of a resolved config (None for the dense oracle);
     ValueError when its parameters are invalid."""
@@ -168,25 +154,12 @@ def build_model(cfg: RunConfig) -> models.Model | None:
     return models.tfim_model(3 if cfg.model == "tfim3d" else 2, cfg.J, cfg.g)
 
 
-def execute_run(
-    cfg: RunConfig, schedule: EvolutionSchedule, model: models.Model | None
-) -> tuple[GapTrace, "estimator.GapEstimate", dict]:
-    """Run the evolution of a resolved config and fit the gap (no file I/O)."""
-    extra: dict = {}
-    if model is None:
-        trace, extra = _oracle_random_trace(cfg)
-    elif model.dimension == 1:
-        trace = run_evolution_1d(model, schedule, cfg.D, cfg.seed)
-    else:
-        trace = run_evolution_peps(model, schedule, cfg.D)
-    return trace, estimate_gap(trace), extra
-
-
 def run(cfg: RunConfig) -> int:
     """Execute one run and persist trace, derivative and summary files."""
     try:
         cfg = cfg.resolve()
-        schedule = evolution_schedule(cfg)
+        schedule = EvolutionSchedule(dtau=cfg.dtau, tau_max=cfg.tau_max,
+                                     scheme=cfg.scheme, D_max=cfg.D, seed=cfg.seed)
         model = build_model(cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -194,8 +167,15 @@ def run(cfg: RunConfig) -> int:
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
+    extra: dict = {}
     try:
-        trace, est, extra = execute_run(cfg, schedule, model)
+        if model is None:
+            trace, extra = _oracle_random_trace(cfg)
+        elif model.dimension == 1:
+            trace = run_evolution_1d(model, schedule, cfg.D, cfg.seed)
+        else:
+            trace = run_evolution_peps(model, schedule, cfg.D)
+        est = estimate_gap(trace)
     except Exception as exc:  # numeric failure: report and bail out
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -293,7 +273,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     does not read is given."""
     kwargs: dict = {}
     if args.config:
-        kwargs.update(_coerce(parse_config_file(args.config)))
+        parsers = {f.name: _parser(f) for f in fields(RunConfig)}
+        for key, val in parse_config_file(args.config).items():
+            kwargs[key] = parsers[key](val)
     for f in fields(RunConfig):
         val = getattr(args, f.name, None)
         if val is not None:

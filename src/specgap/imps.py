@@ -34,10 +34,6 @@ class IMpsState:
     def local_dim(self) -> int:
         return self.gammas[0].shape[1]
 
-    @property
-    def bond_dims(self) -> tuple[int, int]:
-        return (self.lams[0].size, self.lams[1].size)
-
 
 def random_product_imps(local_dim: int, seed: int) -> IMpsState:
     """Bond-dimension-1 state of two independent random real unit vectors."""
@@ -268,8 +264,10 @@ class EvolutionSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dtau <= 0:
-            raise ValueError("dtau must be positive")
+        if not np.isfinite(self.dtau) or self.dtau <= 0:
+            raise ValueError("dtau must be positive and finite")
+        if not np.isfinite(self.tau_max):
+            raise ValueError("tau_max must be finite")
         if self.tau_max < self.dtau:
             raise ValueError("tau_max must be at least dtau")
         if self.D_max < 1:

@@ -326,15 +326,6 @@ def _hermitian_pair(bra: np.ndarray, ket: np.ndarray, leg: int) -> np.ndarray:
     return 0.5 * (n + n.conj().T)
 
 
-def _dressed_gram(
-    st: IPepsState, site: int, leg: int, closures: dict[int, np.ndarray]
-) -> np.ndarray:
-    """Bond environment of (site, leg) with each other leg closed by the
-    given ket-bra matrix (weight-dressed incoming message)."""
-    t0 = st.tensors[site]
-    return _hermitian_pair(t0.conj(), _close_legs(t0, closures), leg)
-
-
 # cap on the Gauss-Seidel sweeps of one message fixed point
 MESSAGE_MAX_SWEEPS = 500
 # sweeps whose iterate/image pairs enter one Anderson mix
@@ -377,19 +368,18 @@ def _usable_message(m: np.ndarray) -> np.ndarray | None:
 
 
 def _message_fixed_point(
-    st: IPepsState, tol: float, start: dict | None = None
+    st: IPepsState, tol: float, start: dict[tuple[int, int], np.ndarray]
 ) -> tuple[dict[tuple[int, int], np.ndarray], int]:
     """Outgoing bond environments out[(site, leg)] solved self-consistently,
     and the number of sweeps it took.
 
     out[(i, l)] is the environment of leg l seen from site i when every
     other leg of i is closed with the weight-dressed message coming in
-    from its own neighbor.  The solve starts from ``start``, a table of
-    environments per end (hermitized and trace-normalized here), or from
-    identity messages when it is None.  The plain weight-squared
-    environments (``_all_grams``) are one Jacobi sweep from identity
-    messages; at the gauge fixed point the solution is the identity again.
-    Messages are trace-normalized.
+    from its own neighbor.  The solve starts from the given table
+    ``start`` of environments per end, hermitized and trace-normalized
+    here.  The plain weight-squared environments (``_all_grams``) are one
+    Jacobi sweep from identity messages; at the gauge fixed point the
+    solution is the identity again.  Messages are trace-normalized.
 
     One Gauss-Seidel sweep updates the ends axis by axis, in bond order.
     Once a sweep changed no entry by more than ``MESSAGE_ANDERSON_START``,
@@ -464,10 +454,7 @@ def _message_fixed_point(
                 return None
         return msgs
 
-    if start is None:
-        x = {end: np.eye(n) for end, n in zip(ends, sizes)}
-    else:
-        x = {end: _usable_message(start[end]) for end in ends}
+    x = {end: _usable_message(start[end]) for end in ends}
     dx = dress_all(x)
     fs: list[np.ndarray] = []
     gs: list[np.ndarray] = []

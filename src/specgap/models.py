@@ -79,6 +79,9 @@ def tfim(dimension: int, J: float, g: float) -> OperatorTerms:
     """Transverse-field Ising model -J sum_<ij> z z - g sum_i x on d = 1, 2, 3."""
     if dimension not in (1, 2, 3):
         raise ValueError("tfim is defined for dimension 1, 2 or 3")
+    for name, value in (("J", J), ("g", g)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if J == 0.0 and g == 0.0:
         raise ValueError("J and g cannot both vanish")
     origin = _origin(dimension)

@@ -5,8 +5,8 @@ above ``SVD_CUT`` of the largest, unit-norm weights) and the floored
 inverse ``pinv_weights`` (zero at or below ``PINV_FLOOR``) that divides
 environment weights back out.
 
-Pairwise contractions (``einsum2``, and ``contract2`` for callers that
-count their own work) run in a fixed order with no path search.  A
+``einsum2`` is the only contraction entry point: a pairwise contraction
+in a fixed order with no path search, which always counts its work.  A
 subscript string is parsed once, cached by the string, into a plan: the
 axes each operand sums over, and one output permutation.  A call then
 makes both operands C-contiguous, permutes and reshapes them into two
@@ -112,29 +112,6 @@ def _pair_plan(subscripts: str) -> _PairPlan:
     )
 
 
-def _contract(subscripts: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """The contraction of ``einsum2`` and the size of its summed index
-    space."""
-    plan = _pair_plan(subscripts)
-    at = np.ascontiguousarray(a).transpose(plan.perm_a)
-    bt = np.ascontiguousarray(b).transpose(plan.perm_b)
-    n_free = at.ndim - plan.n_summed
-    if at.shape[n_free:] != bt.shape[: plan.n_summed]:
-        raise ValueError(f"{subscripts!r}: summed dimensions {at.shape[n_free:]} "
-                         f"and {bt.shape[: plan.n_summed]} differ")
-    k = math.prod(at.shape[n_free:])
-    out = np.dot(at.reshape(math.prod(at.shape[:n_free]), k),
-                 bt.reshape(k, math.prod(bt.shape[plan.n_summed:])))
-    out = out.reshape(at.shape[:n_free] + bt.shape[plan.n_summed:])
-    return out.transpose(plan.perm_out), k
-
-
-def contract2(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``einsum2`` without accounting, for callers that count their own
-    work."""
-    return _contract(subscripts, a, b)[0]
-
-
 def einsum2(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     """Pairwise contraction in a fixed order, with accounting.
 
@@ -150,9 +127,20 @@ def einsum2(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     """
     if len(operands) != 2:
         raise ValueError(f"einsum2 takes two operands, got {len(operands)}")
-    out, k = _contract(subscripts, *operands)
+    a, b = operands
+    plan = _pair_plan(subscripts)
+    at = np.ascontiguousarray(a).transpose(plan.perm_a)
+    bt = np.ascontiguousarray(b).transpose(plan.perm_b)
+    n_free = at.ndim - plan.n_summed
+    if at.shape[n_free:] != bt.shape[: plan.n_summed]:
+        raise ValueError(f"{subscripts!r}: summed dimensions {at.shape[n_free:]} "
+                         f"and {bt.shape[: plan.n_summed]} differ")
+    k = math.prod(at.shape[n_free:])
+    out = np.dot(at.reshape(math.prod(at.shape[:n_free]), k),
+                 bt.reshape(k, math.prod(bt.shape[plan.n_summed:])))
+    out = out.reshape(at.shape[:n_free] + bt.shape[plan.n_summed:])
     add_work(float(out.size) * k)
-    return out
+    return out.transpose(plan.perm_out)
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +165,6 @@ def svd_fixed(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         u = u * np.conj(phase)[None, :]
         vh = vh * phase[:, None]
     return u, s, vh
-
-
-def eigh_counted(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh with operation accounting."""
-    n = mat.shape[0]
-    add_work(9.0 * n**3)
-    return np.linalg.eigh(mat)
 
 
 class _QrPlan(NamedTuple):
@@ -241,7 +222,8 @@ def psd_factor(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     than amplified.
     """
     n = 0.5 * (n + n.conj().T)
-    w, v = eigh_counted(n)
+    add_work(9.0 * n.shape[0] ** 3)
+    w, v = np.linalg.eigh(n)
     w = np.clip(w, 0.0, None)
     floor = (w[-1] if w.size else 0.0) * 1e-28
     sq = np.sqrt(w)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .tensor import SVD_CUT, add_work, choose_rank, contract2, svd_fixed
+from .tensor import SVD_CUT, add_work, choose_rank, einsum2, svd_fixed
 
 
 @dataclass
@@ -176,7 +176,6 @@ def _contract_channel_chain(
     running = w[left]  # (chan, d, d)
     for _ in range(n_sites - 1):
         dim = running.shape[1]
-        running = contract2("cab,cexy->eaxby", running, w)
-        add_work(float(running.size) * d)
+        running = einsum2("cab,cexy->eaxby", running, w)
         running = running.reshape(w.shape[1], dim * d, dim * d)
     return running[right]

@@ -1,6 +1,6 @@
 import pytest
 
-from specgap import oracle
+from specgap import cli, oracle
 from specgap.cli import (
     EXIT_NO_WINDOW,
     EXIT_OK,
@@ -90,6 +90,32 @@ class TestConfig:
         code = main(["run", "--model", model, "--outdir", str(tmp_path)] + args)
         assert code == EXIT_USAGE
         assert not (tmp_path / f"{model}_summary.txt").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("dtau", "nan"), ("tau_max", "inf"), ("J", "nan"), ("g", "inf"),
+    ])
+    def test_non_finite_value_usage_error(self, tmp_path, capsys, flag, value):
+        # rejected before any evolution runs, not a numeric failure (exit 3)
+        settings = {"D": "2", "tau_max": "0.4", flag: value}
+        args = [a for k, v in settings.items() for a in (f"--{k}", v)]
+        code = main(["run", "--model", "tfim2d", "--outdir", str(tmp_path)] + args)
+        assert code == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "tfim2d_summary.txt").exists()
+
+    @pytest.mark.parametrize("tag", ["sub/t", "."])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_path_tag_usage_error(self, tmp_path, monkeypatch, command, tag):
+        def never(*args, **kwargs):
+            raise AssertionError("evolution started")
+
+        monkeypatch.setattr(cli, "run_evolution_peps", never)
+        argv = [command, "--model", "tfim2d", "--D", "2", "--tau_max", "0.4",
+                "--outdir", str(tmp_path / "out"), "--tag", tag]
+        if command == "sweep":
+            argv += ["--param", "J", "--values", "0.1,0.2"]
+        assert main(argv) == EXIT_USAGE
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["run", "--bogus", "1"],

@@ -69,7 +69,7 @@ def aklt_state():
 class TestStateConstruction:
     def test_random_product_properties(self):
         st = random_product_imps(2, 9)
-        assert st.bond_dims == (1, 1)
+        assert [lam.size for lam in st.lams] == [1, 1]
         for g in st.gammas:
             assert np.linalg.norm(g) == pytest.approx(1.0)
         again = random_product_imps(2, 9)
@@ -279,6 +279,14 @@ class TestSchedule:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             EvolutionSchedule(dtau=0.2, tau_max=0.4, seed=-1)
+
+    @pytest.mark.parametrize("field, dtau, tau_max", [
+        ("dtau", float("nan"), 0.4), ("dtau", float("inf"), 0.4),
+        ("tau_max", 0.2, float("inf")), ("tau_max", 0.2, float("nan")),
+    ])
+    def test_non_finite_rejected(self, field, dtau, tau_max):
+        with pytest.raises(ValueError, match=field):
+            EvolutionSchedule(dtau=dtau, tau_max=tau_max)
 
 
 class TestRunEvolution:

@@ -104,16 +104,29 @@ def checkerboard_state(D, seed):
     return st
 
 
+def identity_messages(st):
+    """The identity environment on every bond end, in bond order."""
+    return {end: np.eye(st.lams[lam_key(st, *end)].size)
+            for b in bond_list(st)
+            for end in ((b.i_site, b.i_leg), (b.j_site, b.j_leg))}
+
+
+def dressed_gram(t, leg, closures):
+    """Bond environment of ``leg`` of ``t`` with each other leg closed by
+    its ket-bra matrix, from the package's closing and pairing kernels."""
+    return ipeps._hermitian_pair(t.conj(), ipeps._close_legs(t, closures), leg)
+
+
 def plain_messages(st, tol, max_sweeps=2000):
     """Reference message fixed point: plain Gauss-Seidel sweeps over the
-    bond ends in bond order, each end closed leg by leg with
-    ``_dressed_gram``.  Returns the messages and the sweep count, which is
-    ``max_sweeps`` if the largest change never fell to ``tol``."""
+    bond ends in bond order from identity messages, each end closed leg by
+    leg with ``dressed_gram``.  Returns the messages and the sweep count,
+    which is ``max_sweeps`` if the largest change never fell to ``tol``."""
     opposite = {}
     for b in bond_list(st):
         opposite[(b.i_site, b.i_leg)] = (b.j_site, b.j_leg)
         opposite[(b.j_site, b.j_leg)] = (b.i_site, b.i_leg)
-    out = {end: np.eye(st.lams[lam_key(st, *end)].size) for end in opposite}
+    out = identity_messages(st)
     for sweeps in range(1, max_sweeps + 1):
         delta = 0.0
         for site, leg in out:
@@ -122,7 +135,7 @@ def plain_messages(st, tol, max_sweeps=2000):
                 if l != leg:
                     w = st.lams[lam_key(st, site, l)]
                     closures[l] = w[:, None] * out[opposite[(site, l)]] * w[None, :]
-            fresh = ipeps._dressed_gram(st, site, leg, closures)
+            fresh = dressed_gram(st.tensors[site], leg, closures)
             fresh = fresh * (fresh.shape[0] / np.real(np.trace(fresh)))
             delta = max(delta, float(np.max(np.abs(fresh - out[(site, leg)]))))
             out[(site, leg)] = fresh
@@ -185,7 +198,7 @@ class TestLegKernels:
                 for l in range(1, t.ndim) if l != leg
             }
             before = work_count()
-            got = ipeps._dressed_gram(st, 0, leg, closures)
+            got = dressed_gram(t, leg, closures)
             n_sum = sum(t.shape[l] for l in closures)
             assert work_count() - before == t.size * n_sum + t.size * t.shape[leg]
             assert rel_err(got, brute_dressed_gram(t, leg, closures)) <= 1e-12
@@ -230,7 +243,7 @@ class TestMessageFixedPoint:
     @MESSAGE_STATES
     def test_matches_plain_gauss_seidel(self, make):
         st = make()
-        got, sweeps = ipeps._message_fixed_point(st, tol=1e-12)
+        got, sweeps = ipeps._message_fixed_point(st, 1e-12, identity_messages(st))
         ref, plain = plain_messages(st, tol=1e-12)
         assert plain < 2000
         assert list(got) == list(ref)
@@ -245,7 +258,7 @@ class TestMessageFixedPoint:
         st = make()
         monkeypatch.setattr(ipeps, "MESSAGE_MAX_SWEEPS", 2)
         with pytest.warns(RuntimeWarning, match="message fixed point unconverged"):
-            got, _ = ipeps._message_fixed_point(st, tol=1e-12)
+            got, _ = ipeps._message_fixed_point(st, 1e-12, identity_messages(st))
         ref, _ = plain_messages(st, tol=1e-12, max_sweeps=2)
         for end in ref:
             assert rel_err(got[end], ref[end]) <= 1e-12
@@ -255,7 +268,7 @@ class TestMessageFixedPoint:
         # every mix rejected: the iteration is plain Gauss-Seidel throughout
         st = kernel_state((2, 3, 3, 2, 2, 2, 2), 0, float)
         monkeypatch.setattr(ipeps, "_anderson_mix", lambda fs, gs: scale * gs[-1])
-        got, sweeps = ipeps._message_fixed_point(st, tol=1e-12)
+        got, sweeps = ipeps._message_fixed_point(st, 1e-12, identity_messages(st))
         ref, plain = plain_messages(st, tol=1e-12)
         assert sweeps == plain
         for end in ref:
@@ -282,14 +295,14 @@ class TestMessageFixedPoint:
         st = random_product_ipeps(3, 1, 753)
         for a in (0, 1, 2, 0, 1, 2):
             st, _ = apply_axis_mpo(st, mpos[a], a, 3)
-        got, sweeps = ipeps._message_fixed_point(inputs[5], tol=1e-12)
-        ref, plain = plain_messages(inputs[5], tol=1e-12)
+        st = inputs[5]
+        got, sweeps = ipeps._message_fixed_point(st, 1e-12, identity_messages(st))
+        ref, plain = plain_messages(st, tol=1e-12)
         assert sweeps < plain < 2000
         for end in ref:
             assert np.max(np.abs(got[end] - ref[end])) <= 1e-8
         # the gauge fix's own start, the weight-squared environments, too
-        got, _ = ipeps._message_fixed_point(
-            inputs[5], 1e-12, ipeps._all_grams(inputs[5]))
+        got, _ = ipeps._message_fixed_point(st, 1e-12, ipeps._all_grams(st))
         for end in ref:
             assert np.max(np.abs(got[end] - ref[end])) <= 1e-8
 
@@ -298,7 +311,7 @@ class TestMessageFixedPoint:
         # the gauge fix starts each solve from the weight-squared bond
         # environments; the fixed point must be the one identity reaches
         st = make()
-        ref, _ = ipeps._message_fixed_point(st, tol=1e-12)
+        ref, _ = ipeps._message_fixed_point(st, 1e-12, identity_messages(st))
         got, sweeps = ipeps._message_fixed_point(st, 1e-12, ipeps._all_grams(st))
         assert list(got) == list(ref)
         for end in ref:
@@ -307,7 +320,7 @@ class TestMessageFixedPoint:
 
     def test_fewer_sweeps_than_plain(self):
         st = kernel_state((2, 3, 3, 2, 2, 2, 2), 0, float)
-        _, sweeps = ipeps._message_fixed_point(st, tol=1e-12)
+        _, sweeps = ipeps._message_fixed_point(st, 1e-12, identity_messages(st))
         _, plain = plain_messages(st, tol=1e-12)
         assert sweeps < plain
 
@@ -317,7 +330,7 @@ class TestMessageFixedPoint:
         monkeypatch.setattr(ipeps, "MESSAGE_MAX_SWEEPS", 1)
         before = work_count()
         with pytest.warns(RuntimeWarning, match="message fixed point unconverged"):
-            _, sweeps = ipeps._message_fixed_point(st, tol=1e-12)
+            _, sweeps = ipeps._message_fixed_point(st, 1e-12, identity_messages(st))
         assert sweeps == 1
         assert work_count() - before == shared_sweep_madds(st)
 
@@ -531,7 +544,8 @@ class TestSuperorthogonalize:
     def test_unconverged_messages_warn(self, monkeypatch):
         monkeypatch.setattr(ipeps, "MESSAGE_MAX_SWEEPS", 1)
         with pytest.warns(RuntimeWarning, match="message fixed point unconverged"):
-            ipeps._message_fixed_point(random_d2_state(1), tol=1e-10)
+            st = random_d2_state(1)
+            ipeps._message_fixed_point(st, 1e-10, identity_messages(st))
 
     def test_gauge_scramble_and_restore(self):
         base, _ = superorthogonalize(random_d2_state(2), so_tol=1e-12)

@@ -52,6 +52,14 @@ class TestTfim:
         with pytest.raises(ValueError):
             tfim(2, 0.0, 0.0)
 
+    @pytest.mark.parametrize("field, J, g", [
+        ("J", float("nan"), 1.0), ("J", float("inf"), 1.0),
+        ("g", 0.2, float("inf")), ("g", 0.2, float("nan")),
+    ])
+    def test_non_finite_coupling_rejected(self, field, J, g):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            tfim(2, J, g)
+
     def test_single_flip_energy_3d_ferro(self):
         # brute-force broken-bond count on a periodic 3x3x3 cluster:
         # flipping one spin in the aligned classical state costs 2 z J

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specgap import imps, ipeps, models
+from specgap import imps, ipeps, models, wii
 from specgap.tensor import (choose_rank, einsum2, qr_counted, reset_work,
                             svd_fixed, truncated_svd, work_count)
 
@@ -44,6 +44,8 @@ EINSUM2_SUBSCRIPTS = [
     # ipeps: expectation_terms_peps pair closure and its scalar
     "kKaA,lLaA->kKlL",
     "KLkl,kKlL->",
+    # wii: _contract_channel_chain
+    "cab,cexy->eaxby",
 ]
 
 
@@ -218,7 +220,7 @@ class TestEinsum2:
         # short runs through every path that calls einsum2 pass exactly
         # the strings the tests above check
         seen = set()
-        for mod in (imps, ipeps):
+        for mod in (imps, ipeps, wii):
             orig = mod.einsum2
 
             def record(subscripts, *ops, _orig=orig):
@@ -234,6 +236,10 @@ class TestEinsum2:
             sched = imps.EvolutionSchedule(
                 dtau=0.1, tau_max=0.2, scheme=scheme, D_max=2, seed=1)
             ipeps.run_evolution_peps(models.tfim_model(dim, 0.2, 1.0), sched, 2)
+        blocks = wii.hamiltonian_line_mpo(
+            -np.kron(models.PAULI_Z, models.PAULI_Z), -models.PAULI_X, 0.5)
+        wii.line_hamiltonian_dense(blocks, 3)
+        wii.mpo_to_dense(wii.build_wii(blocks, 0.1), 3)
         assert seen == set(EINSUM2_SUBSCRIPTS)
 
 
