@@ -25,11 +25,16 @@ environment); in the superorthogonal gauge that closure is the bond-local
 reduced operator diag(lambda^2).
 
 The gauge fix spends its time on bond environments, contractions of a site
-tensor over every leg but one.  Their leg kernels are transpose-free: a
-tensor is read in place as (outer, leg, inner) blocks and multiplied as a
-stack of matrices, so no operand is copied into another axis order.  The
-environments of one axis share the closures of every other axis, so those
-are applied to each site once per axis and reused for both ends.
+tensor over every leg but one.  A solve lays each site tensor out once per
+axis a, in the order (p, +a, -a, then the later axes' legs cyclically).
+Closing the leading virtual leg of one layout with a matrix is one product
+stacked over the physical index, whose result has that leg last: closing
+the next axis's layout leg by leg ends in axis a's own layout, with no
+operand copied.  There, each end of the axis closes its partner leg and
+pairs its own, the second or third axis, in products whose blocks are
+contiguous.  The closures of the other axes are shared by both ends.  A
+bond's two messages share its dimension and weights, so they are kept,
+normalized and dressed as one (2, D, D) stack.
 
 The bond environments are the fixed point of a Gauss-Seidel message
 sweep (belief propagation), started from the weight-squared environments
@@ -46,6 +51,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,13 +116,18 @@ def leg_index(axis: int, sign: int) -> int:
     return 1 + 2 * axis + sign
 
 
-def bond_list(state: IPepsState) -> list[BondRef]:
-    n = state.n_sites
-    return [
+def bond_list(state: IPepsState) -> tuple[BondRef, ...]:
+    """The cell's bonds in bond order: by axis, then by site."""
+    return _bonds(state.n_sites, state.dimension)
+
+
+@functools.lru_cache(maxsize=None)
+def _bonds(n: int, dimension: int) -> tuple[BondRef, ...]:
+    return tuple(
         BondRef((a, s), a, s, leg_index(a, 0), (s + 1) % n, leg_index(a, 1))
-        for a in range(state.dimension)
+        for a in range(dimension)
         for s in range(n)
-    ]
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,38 +187,17 @@ def _axis_ends(state: IPepsState) -> list[tuple[int, list[tuple[int, int, int]]]
     return blocks
 
 
-def _close_legs(
-    t: np.ndarray, closures: dict[int, np.ndarray], bufs=None
-) -> np.ndarray:
+def _close_legs(t: np.ndarray, closures: dict[int, np.ndarray]) -> np.ndarray:
     """Close each listed leg in turn: a weight vector scales the leg, a
-    matrix is contracted with it (old index first).  With ``bufs``, two
-    arrays shaped like t, the steps write into them alternately, so an
-    even number of closures leaves the result in ``bufs[1]``."""
-    for i, (leg, c) in enumerate(closures.items()):
-        buf = None if bufs is None else bufs[i % 2]
+    matrix is contracted with it (old index first)."""
+    for leg, c in closures.items():
         if c.ndim == 1:
             shape = [1] * t.ndim
             shape[leg] = c.size
-            t = np.multiply(t, c.reshape(shape), out=buf)
+            t = t * c.reshape(shape)
         else:
-            t = _apply_on_leg(t, leg, c, buf)
+            t = _apply_on_leg(t, leg, c)
     return t
-
-
-def _axis_shared(
-    state: IPepsState, axis: int, closure, bufs=None
-) -> list[np.ndarray]:
-    """Every site tensor with each virtual leg off ``axis`` closed by
-    ``closure(site, leg)``: the part of a bond environment that both ends
-    of the axis on that site share.  The legs off an axis come in pairs,
-    so with per-site buffer pairs ``bufs`` the result is ``bufs[site][1]``."""
-    return [
-        _close_legs(t, {
-            leg: closure(site, leg)
-            for leg in range(1, t.ndim) if (leg - 1) // 2 != axis
-        }, None if bufs is None else bufs[site])
-        for site, t in enumerate(state.tensors)
-    ]
 
 
 def _scaled_tensor(
@@ -221,53 +211,70 @@ def _scaled_tensor(
 
 
 def _leg_pair(bra: np.ndarray, ket: np.ndarray, leg: int) -> np.ndarray:
-    """N[b, b'] = sum over every axis but ``leg`` of bra[..b..] ket[..b'..].
-
-    The stack of (outer, leg, inner) block products runs over whichever
-    of outer and inner is smaller.
-    """
+    """N[b, b'] = sum over every axis but ``leg`` of bra[..b..] ket[..b'..]:
+    the (outer, leg, inner) block products, summed over the outer index.
+    ``_all_grams`` calls it on legs 1 and 2 of an axis layout, where few
+    blocks are stacked and each is contiguous."""
     add_work(float(ket.size) * ket.shape[leg])
     outer = math.prod(bra.shape[:leg])
     b3 = bra.reshape(outer, bra.shape[leg], -1)
     k3 = ket.reshape(outer, ket.shape[leg], -1)
-    if outer <= b3.shape[2]:
-        return np.matmul(b3, k3.transpose(0, 2, 1)).sum(axis=0)
-    return np.matmul(b3.transpose(2, 1, 0), k3.transpose(2, 0, 1)).sum(axis=0)
+    return np.matmul(b3, k3.transpose(0, 2, 1)).sum(axis=0)
 
 
-def _apply_on_leg(
-    t: np.ndarray, leg: int, g: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def _apply_on_leg(t: np.ndarray, leg: int, g: np.ndarray) -> np.ndarray:
     """Contract the old leg index with the first index of g, which takes
-    the leg's place: g.T times every (outer, leg, inner) block of t.
-    Writes into ``out`` (C-contiguous, of the result's shape) if given."""
+    the leg's place: g.T times every (outer, leg, inner) block of t.  The
+    result is C-contiguous."""
     add_work(float(t.size) * g.shape[1])
     shape = t.shape
-    if out is None:
-        out = np.empty(shape[:leg] + (g.shape[1],) + shape[leg + 1:],
-                       dtype=np.result_type(t, g))
+    new_shape = shape[:leg] + (g.shape[1],) + shape[leg + 1:]
     if leg == t.ndim - 1:
-        np.matmul(t.reshape(-1, shape[leg]), g, out=out.reshape(-1, g.shape[1]))
-    else:
-        outer = math.prod(shape[:leg])
-        np.matmul(g.T, t.reshape(outer, shape[leg], -1),
-                  out=out.reshape(outer, g.shape[1], -1))
-    return out
+        return np.matmul(t.reshape(-1, shape[leg]), g).reshape(new_shape)
+    outer = math.prod(shape[:leg])
+    return np.matmul(g.T, t.reshape(outer, shape[leg], -1)).reshape(new_shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _axis_orders(ndim: int) -> tuple[tuple[int, ...], ...]:
+    """Per axis a, the axis order (p, +a, -a, then the legs of the axes
+    after a, cyclically) in which the environment kernels read a site
+    tensor of ``ndim`` axes.  Axis 0's order is the tensor's own."""
+    z = ndim - 1
+    return tuple((0,) + tuple(1 + (2 * a + k) % z for k in range(z))
+                 for a in range(z // 2))
 
 
 def _all_grams(state: IPepsState) -> dict[tuple[int, int], np.ndarray]:
     """Mean-field bond environment N[b,b'] of every bond end (site, leg),
     in bond order: every other leg closed with its squared weight, the
-    physical index summed.  The other axes' weights are absorbed once per
-    (site, axis), the partner leg's per end."""
+    physical index summed.  Per (axis, site), one product lays the tensor
+    out in the axis's order (p, +a, -a, ...) and absorbs the other axes'
+    weights; each end then absorbs its partner leg's weight and pairs its
+    own leg, the second or third axis of that layout."""
     lam = _leg_weights(state)
-    bufs = [(np.empty_like(t), np.empty_like(t)) for t in state.tensors]
+    orders = _axis_orders(state.tensors[0].ndim)
+    # per site: the shared tensor lands in the first buffer, each end's
+    # ket in the second; reusing them spares the allocator
+    bufs = [(np.empty(t.size, t.dtype), np.empty(t.size, t.dtype))
+            for t in state.tensors]
     grams = {}
     for axis, ends in _axis_ends(state):
-        shared = _axis_shared(state, axis, lambda site, leg: lam[(site, leg)], bufs)
+        shared = {}
         for site, leg, partner in ends:
-            t = _close_legs(shared[site], {partner: lam[(site, partner)]}, bufs[site])
-            grams[(site, leg)] = _leg_pair(t.conj(), t, leg)
+            if site not in shared:
+                t = state.tensors[site].transpose(orders[axis])
+                off = functools.reduce(
+                    np.multiply.outer, [lam[(site, l)] for l in orders[axis][3:]])
+                shared[site] = np.multiply(
+                    t, off, out=bufs[site][0].reshape(t.shape))
+            # the + end's partner is the layout's third axis, the - end's
+            # its second
+            open_leg = 1 if leg < partner else 2
+            x = shared[site]
+            w = lam[(site, partner)].reshape((-1,) + (1,) * (x.ndim - 4 + open_leg))
+            ket = np.multiply(x, w, out=bufs[site][1].reshape(x.shape))
+            grams[(site, leg)] = _leg_pair(ket.conj(), ket, open_leg)
     return grams
 
 
@@ -320,12 +327,6 @@ class SuperorthResult:
     sweeps: int
 
 
-def _hermitian_pair(bra: np.ndarray, ket: np.ndarray, leg: int) -> np.ndarray:
-    """``_leg_pair`` made exactly Hermitian."""
-    n = _leg_pair(bra, ket, leg)
-    return 0.5 * (n + n.conj().T)
-
-
 # cap on the Gauss-Seidel sweeps of one message fixed point
 MESSAGE_MAX_SWEEPS = 500
 # sweeps whose iterate/image pairs enter one Anderson mix
@@ -357,31 +358,44 @@ def _anderson_mix(fs: list[np.ndarray], gs: list[np.ndarray]) -> np.ndarray:
     return gs[-1] - np.diff(np.array(gs), axis=0).T @ gamma
 
 
-def _usable_message(m: np.ndarray) -> np.ndarray | None:
-    """``m`` hermitized and trace-normalized, or None when its trace is
-    not positive."""
-    m = 0.5 * (m + m.conj().T)
-    tr = float(np.real(np.trace(m)))
-    if tr <= 0.0:
+def _usable_messages(m: np.ndarray) -> np.ndarray | None:
+    """The stack ``m`` of one bond's two messages, each hermitized and
+    trace-normalized, or None when a trace is not positive."""
+    h = m + m.conj().transpose(0, 2, 1)
+    tr = h.trace(axis1=1, axis2=2).real
+    if tr[0] <= 0.0 or tr[1] <= 0.0:
         return None
-    return m * (m.shape[0] / tr)
+    h *= (m.shape[1] / tr)[:, None, None]
+    return h
 
 
 def _message_fixed_point(
     st: IPepsState, tol: float, start: dict[tuple[int, int], np.ndarray]
 ) -> tuple[dict[tuple[int, int], np.ndarray], int]:
     """Outgoing bond environments out[(site, leg)] solved self-consistently,
-    and the number of sweeps it took.
+    in bond order, and the number of sweeps it took.
 
     out[(i, l)] is the environment of leg l seen from site i when every
     other leg of i is closed with the weight-dressed message coming in
     from its own neighbor.  The solve starts from the given table
     ``start`` of environments per end, hermitized and trace-normalized
-    here.  The plain weight-squared environments (``_all_grams``) are one
-    Jacobi sweep from identity messages; at the gauge fixed point the
-    solution is the identity again.  Messages are trace-normalized.
+    here; a start with a trace <= 0 raises RuntimeError.  The plain
+    weight-squared environments (``_all_grams``) are one Jacobi sweep from
+    identity messages; at the gauge fixed point the solution is the
+    identity again.  Messages are trace-normalized.
 
-    One Gauss-Seidel sweep updates the ends axis by axis, in bond order.
+    The two ends of a bond share its dimension and weights, so their
+    messages are kept as one (2, D, D) stack, + end first, and are
+    normalized, compared and dressed together.  One Gauss-Seidel sweep
+    updates the bonds axis by axis, in bond order; the two ends of one
+    bond read no message the other writes.  Per site and axis, the other
+    axes' legs are closed once from the tensor laid out for the next
+    axis, each leading leg in turn, which leaves the tensor in the axis's
+    own layout (p, +a, -a, ...); each end then closes its partner leg and
+    pairs its own with the bra in that layout.  Every product is planned
+    once per solve as a view of fixed arrays, so a sweep runs one matmul
+    per product and counts the madds of the per-leg kernels.
+
     Once a sweep changed no entry by more than ``MESSAGE_ANDERSON_START``,
     the next sweep starts from the Anderson mix of the last
     ``MESSAGE_ANDERSON_DEPTH`` sweeps, hermitized and trace-normalized;
@@ -392,76 +406,120 @@ def _message_fixed_point(
     sweep's output is returned.  Hitting ``MESSAGE_MAX_SWEEPS`` warns and
     returns the last sweep's output.
     """
-    lam = _leg_weights(st)
-    blocks = _axis_ends(st)
-    ends = [(site, leg) for _, axis_ends in blocks for site, leg, _ in axis_ends]
-    opposite: dict[tuple[int, int], tuple[int, int]] = {}
-    for b in bond_list(st):
-        opposite[(b.i_site, b.i_leg)] = (b.j_site, b.j_leg)
-        opposite[(b.j_site, b.j_leg)] = (b.i_site, b.i_leg)
-    bras = [t.conj() for t in st.tensors]
-    # per site: the shared tensor lands in the second buffer, the first
-    # takes each end's ket; reusing them spares the allocator
-    bufs = [(np.empty_like(t), np.empty_like(t)) for t in st.tensors]
-    sizes = [lam[end].size for end in ends]
-    splits = np.cumsum([n * n for n in sizes])[:-1]
+    bonds = bond_list(st)
+    n_axes = st.dimension
+    p = st.local_dim
+    orders = _axis_orders(st.tensors[0].ndim)
+    sizes = [st.lams[b.key].size for b in bonds]
+    splits = np.cumsum([2 * n * n for n in sizes])[:-1]
+    # per bond, w_b w_b' of its weights w
+    dressing = [np.outer(st.lams[b.key], st.lams[b.key]) for b in bonds]
+    dtype = np.result_type(*st.tensors, *start.values())
+    # every bond end as (bond index, side), side 0 the + end
+    side = {}
+    for bi, b in enumerate(bonds):
+        side[(b.i_site, b.i_leg)] = (bi, 0)
+        side[(b.j_site, b.j_leg)] = (bi, 1)
+    axis_bonds = [[bi for bi, b in enumerate(bonds) if b.axis == a]
+                  for a in range(n_axes)]
 
-    def dress(end, m):
-        """The message ``m`` into ``end``, dressed with the bond's weights."""
-        w = lam[end]
-        return w[:, None] * m * w[None, :]
+    # The sweep's products, planned once as views of fixed arrays, so a
+    # sweep makes one matmul per product.  Per site: the tensor laid out
+    # in each axis's order, the bra likewise, and two buffers; reusing
+    # them spares the allocator.  Per (axis, site): the chain that closes
+    # the other axes' legs from the next axis's layout, each leading leg
+    # in turn, writing the buffers alternately, so the shared tensor lands
+    # in the second one in the axis's own layout (p, +a, -a, rest); then,
+    # per end, the partner-leg closure into the first buffer and the pair.
+    chains = [[None] * st.n_sites for _ in range(n_axes)]
+    ends = [[None] * st.n_sites for _ in range(n_axes)]
+    sweep_madds = 0.0
+    for s, t in enumerate(st.tensors):
+        kets = [np.ascontiguousarray(t.transpose(order)) for order in orders]
+        bufs = (np.empty(t.size, dtype), np.empty(t.size, dtype))
+        for a in range(n_axes):
+            x = kets[(a + 1) % n_axes]
+            legs = orders[(a + 1) % n_axes][1:-2]
+            chains[a][s] = []
+            for step, leg in enumerate(legs):
+                # the leading leg, read transposed: (p, rest, leg) blocks
+                xt = x.reshape(p, x.shape[1], -1).transpose(0, 2, 1)
+                y = bufs[step % 2].reshape(xt.shape)
+                chains[a][s].append((xt, side[(s, leg)], y))
+                x = y.reshape(x.shape[:1] + x.shape[2:] + x.shape[1:2])
+            bra = kets[a].conj()
+            n_p, n_m = x.shape[1], x.shape[2]
+            # the + end closes the -a leg in blocks stacked over (p, +a)
+            # and pairs +a in blocks stacked over p; the - end the other
+            # way round
+            ends[a][s] = (
+                (x.reshape(p * n_p, n_m, -1), bufs[0].reshape(p * n_p, n_m, -1),
+                 side[(s, leg_index(a, 1))], bra.reshape(p, n_p, -1),
+                 bufs[0].reshape(p, n_p, -1).transpose(0, 2, 1)),
+                (x.reshape(p, n_p, -1), bufs[0].reshape(p, n_p, -1),
+                 side[(s, leg_index(a, 0))], bra.reshape(p * n_p, n_m, -1),
+                 bufs[0].reshape(p * n_p, n_m, -1).transpose(0, 2, 1)),
+            )
+            sweep_madds += t.size * (sum(t.shape[leg] for leg in legs) + 2 * (n_p + n_m))
 
-    def dress_all(msgs):
-        return {end: dress(end, msgs[opposite[end]]) for end in ends}
+    def dress(bi, m):
+        """Incoming messages of bond ``bi``'s two ends, + end first: the
+        stack ``m`` of its outgoing ones swapped and weight-dressed."""
+        return m[::-1] * dressing[bi]
 
     def sweep(msgs, dressed):
         """One Gauss-Seidel sweep from ``msgs``.  ``dressed`` holds their
-        weight-dressed form and follows the sweep's output in place: an
-        end's entry is rebuilt only when its source message moves."""
-        out = dict(msgs)
+        incoming form and follows the sweep's output in place."""
+        add_work(sweep_madds)
+        out = list(msgs)
         delta = 0.0
-        for axis, axis_ends in blocks:
-            shared = _axis_shared(
-                st, axis, lambda site, leg: dressed[(site, leg)], bufs
-            )
-            for site, leg, partner in axis_ends:
-                ket = _apply_on_leg(
-                    shared[site], partner, dressed[(site, partner)], bufs[site][0]
-                )
-                fresh = _hermitian_pair(bras[site], ket, leg)
-                tr = float(np.real(np.trace(fresh)))
-                if tr <= 0.0:
+        for a in range(n_axes):
+            for chain in chains[a]:
+                for xt, (bi, k), y in chain:
+                    np.matmul(xt, dressed[bi][k], out=y)
+            for bi in axis_bonds[a]:
+                b = bonds[bi]
+                fresh = np.empty((2, sizes[bi], sizes[bi]), dtype)
+                for k, (ket_in, ket, (ci, ck), bra, ket_t) in enumerate(
+                        (ends[a][b.i_site][0], ends[a][b.j_site][1])):
+                    np.matmul(dressed[ci][ck].T, ket_in, out=ket)
+                    np.add.reduce(np.matmul(bra, ket_t), axis=0, out=fresh[k])
+                fresh = _usable_messages(fresh)
+                if fresh is None:
                     raise RuntimeError("bond environment collapsed to zero")
-                fresh = fresh * (fresh.shape[0] / tr)
-                delta = max(delta, float(np.max(np.abs(fresh - out[(site, leg)]))))
-                out[(site, leg)] = fresh
-                far = opposite[(site, leg)]
-                dressed[far] = dress(far, fresh)
+                delta = max(delta, float(np.abs(fresh - msgs[bi]).max()))
+                out[bi] = fresh
+                dressed[bi] = dress(bi, fresh)
         return out, delta
 
     def stack(msgs):
-        return np.concatenate([msgs[end].ravel() for end in ends])
+        return np.concatenate([m.ravel() for m in msgs])
 
     def unstack(v):
         """Hermitized, trace-normalized messages from a stacked vector,
         or None when they are not usable."""
         if not np.all(np.isfinite(v)):
             return None
-        msgs = {}
-        for end, n, m in zip(ends, sizes, np.split(v, splits)):
-            msgs[end] = _usable_message(m.reshape(n, n))
-            if msgs[end] is None:
+        msgs = []
+        for n, m in zip(sizes, np.split(v, splits)):
+            msgs.append(_usable_messages(m.reshape(2, n, n)))
+            if msgs[-1] is None:
                 return None
         return msgs
 
-    x = {end: _usable_message(start[end]) for end in ends}
-    dx = dress_all(x)
+    x = []
+    for b in bonds:
+        x.append(_usable_messages(np.stack(
+            (start[(b.i_site, b.i_leg)], start[(b.j_site, b.j_leg)]))))
+        if x[-1] is None:
+            raise RuntimeError("bond environment collapsed to zero")
+    dx = [dress(bi, m) for bi, m in enumerate(x)]
     fs: list[np.ndarray] = []
     gs: list[np.ndarray] = []
     for sweeps in range(1, MESSAGE_MAX_SWEEPS + 1):
         out, delta = sweep(x, dx)
         if delta <= tol:
-            return out, sweeps
+            break
         g = stack(out)
         fs.append(g - stack(x))
         gs.append(g)
@@ -472,14 +530,18 @@ def _message_fixed_point(
             if mixed is None:
                 fs, gs = fs[-1:], gs[-1:]
             else:
-                x, dx = mixed, dress_all(mixed)
-    warnings.warn(
-        f"message fixed point unconverged after {MESSAGE_MAX_SWEEPS} sweeps "
-        f"(last change {delta:.1e})",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return out, MESSAGE_MAX_SWEEPS
+                x, dx = mixed, [dress(bi, m) for bi, m in enumerate(mixed)]
+    else:
+        warnings.warn(
+            f"message fixed point unconverged after {MESSAGE_MAX_SWEEPS} sweeps "
+            f"(last change {delta:.1e})",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    ends = {}
+    for b, m in zip(bonds, out):
+        ends[(b.i_site, b.i_leg)], ends[(b.j_site, b.j_leg)] = m
+    return ends, sweeps
 
 
 def _rescaled_grams(state: IPepsState):
@@ -614,12 +676,24 @@ def apply_axis_mpo(
     return superorthogonalize(st, SO_TOL, SO_MAX_PASSES, D_max=D_max)
 
 
+class _GateSide(NamedTuple):
+    """How one site of a gate update is read and written: the axis order
+    of its QR matrix (the other legs, then the bond leg and the physical
+    index, in the order ``last``), the inverse order, and per virtual leg
+    the shape that broadcasts a weight vector along it in that layout."""
+
+    order: tuple[int, ...]
+    inverse: tuple[int, ...]
+    weight_shapes: tuple[tuple[int, ...], ...]
+
+
 @functools.lru_cache(maxsize=None)
-def _to_back(ndim: int, last: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis permutation that moves the axes ``last`` to the end, in that
-    order, and its inverse."""
-    perm = tuple(ax for ax in range(ndim) if ax not in last) + last
-    return perm, tuple(perm.index(ax) for ax in range(ndim))
+def _gate_side(ndim: int, last: tuple[int, ...]) -> _GateSide:
+    order = tuple(ax for ax in range(ndim) if ax not in last) + last
+    inverse = tuple(order.index(ax) for ax in range(ndim))
+    shapes = tuple(tuple(-1 if ax == inverse[leg] else 1 for ax in range(ndim))
+                   for leg in range(ndim))
+    return _GateSide(order, inverse, shapes)
 
 
 def simple_update_bond(
@@ -636,33 +710,43 @@ def simple_update_bond(
     floored pseudo-inverse.  gate axes: (out_i, out_j, in_i, in_j).
     Returns a new state that shares the untouched tensors and weights with
     ``state``, which is left as it was.
+
+    Each site is copied once into its QR layout, where the weights are
+    absorbed in place, leg by leg; the updated tensor is copied once back
+    to C order, where the inverse weights are divided out in place.  An
+    elementwise product does not depend on the layout it runs in.
     """
     if state.n_sites != 2:
         raise ValueError("gate updates act on the two-site checkerboard cell")
     d = state.local_dim
     ndim = state.tensors[0].ndim
-    env_i = _site_weights(state, bond.i_site)
-    env_j = _site_weights(state, bond.j_site)
-    lam_b = env_i.pop(bond.i_leg)
-    del env_j[bond.j_leg]
+    lams = state.lams
+    lam_b = lams[bond.key]
+    side_i = _gate_side(ndim, (bond.i_leg, 0))
+    side_j = _gate_side(ndim, (bond.j_leg, 0))
+    keys_i = _leg_keys(2, ndim, bond.i_site)
+    keys_j = _leg_keys(2, ndim, bond.j_site)
 
-    # the bond weight rides the + side once, after the environment weights
-    t_i = _close_legs(state.tensors[bond.i_site], {**env_i, bond.i_leg: lam_b})
-    t_j = _close_legs(state.tensors[bond.j_site], env_j)
-
-    m_i = t_i.transpose(_to_back(ndim, (bond.i_leg, 0))[0])
-    rest_i = m_i.shape[:-2]
+    # the environment weights in leg order; the bond weight rides the +
+    # side once, last
+    m_i = np.ascontiguousarray(state.tensors[bond.i_site].transpose(side_i.order))
+    for leg, key in enumerate(keys_i, 1):
+        if leg != bond.i_leg:
+            np.multiply(m_i, lams[key].reshape(side_i.weight_shapes[leg]), out=m_i)
+    np.multiply(m_i, lam_b.reshape(side_i.weight_shapes[bond.i_leg]), out=m_i)
+    m_j = np.ascontiguousarray(state.tensors[bond.j_site].transpose(side_j.order))
+    for leg, key in enumerate(keys_j, 1):
+        if leg != bond.j_leg:
+            np.multiply(m_j, lams[key].reshape(side_j.weight_shapes[leg]), out=m_j)
+    rest_i, rest_j = m_i.shape[:-2], m_j.shape[:-2]
     q_i, r_i = qr_counted(m_i.reshape(-1, lam_b.size * d))
-    k_i = r_i.shape[0]
-    m_j = t_j.transpose(_to_back(ndim, (bond.j_leg, 0))[0])
-    rest_j = m_j.shape[:-2]
-    q_j, r_j = qr_counted(m_j.reshape(-1, t_j.shape[bond.j_leg] * d))
-    k_j = r_j.shape[0]
+    q_j, r_j = qr_counted(m_j.reshape(-1, lam_b.size * d))
+    k_i, k_j = r_i.shape[0], r_j.shape[0]
 
     theta = einsum2(
         "ibp,jbq->ipjq",
         r_i.reshape(k_i, lam_b.size, d),
-        r_j.reshape(k_j, t_j.shape[bond.j_leg], d),
+        r_j.reshape(k_j, lam_b.size, d),
     )
     theta = einsum2("xypq,ipjq->ixjy", np.asarray(gate), theta)
     u, lam_new, vh, discarded = truncated_svd(
@@ -672,35 +756,35 @@ def simple_update_bond(
 
     add_work(float(q_i.size) * d * rank + float(q_j.size) * d * rank)
     red_i = (q_i @ u.reshape(k_i, d * rank)).reshape(rest_i + (d, rank))
-    new_i = red_i.transpose(_to_back(ndim, (0, bond.i_leg))[1])
     red_j = (q_j @ np.transpose(
         vh.reshape(rank, k_j, d), (1, 0, 2)
     ).reshape(k_j, -1)).reshape(rest_j + (rank, d))
-    new_j = red_j.transpose(_to_back(ndim, (bond.j_leg, 0))[1])
 
     # divide the environment weights back out, each bond's inverse taken
-    # once (every other bond of the cell touches both sites); the tensors
-    # are stored C-contiguous rather than in the axis order the transposes
-    # left
-    inv = {key: pinv_weights(w) for key, w in state.lams.items() if key != bond.key}
+    # once (every other bond of the cell touches both sites), in the
+    # tensor's own axis order
+    inv = {key: pinv_weights(w) for key, w in lams.items() if key != bond.key}
+    shapes = _gate_side(ndim, ()).weight_shapes
     tensors = list(state.tensors)
-    for site, new_t, skip in ((bond.i_site, new_i, bond.i_leg),
-                              (bond.j_site, new_j, bond.j_leg)):
-        keys = _leg_keys(2, ndim, site)
-        tensors[site] = np.ascontiguousarray(_close_legs(new_t, {
-            leg: inv[key] for leg, key in enumerate(keys, 1) if leg != skip
-        }))
+    for site, red, side, keys, skip in (
+            (bond.i_site, red_i, _gate_side(ndim, (0, bond.i_leg)), keys_i, bond.i_leg),
+            (bond.j_site, red_j, side_j, keys_j, bond.j_leg)):
+        t = np.ascontiguousarray(red.transpose(side.inverse))
+        for leg, key in enumerate(keys, 1):
+            if leg != skip:
+                np.multiply(t, inv[key].reshape(shapes[leg]), out=t)
+        tensors[site] = t
     warn_below_floor(lam_new, bond.key)
-    return IPepsState(tensors, {**state.lams, bond.key: lam_new}), discarded
+    return IPepsState(tensors, {**lams, bond.key: lam_new}), discarded
 
 
 # ---------------------------------------------------------------------------
 # expectation values (mean-field environment closure)
 
 
-def _pair_transfer(state: IPepsState, site: int, leg: int, keep_bond_lam: bool):
-    """P[ket_p, bra_p, ket_b, bra_b] with every other leg closed ket-bra."""
-    t = _scaled_tensor(state, site, skip_leg=(None if keep_bond_lam else leg))
+def _pair_transfer(t: np.ndarray, leg: int) -> np.ndarray:
+    """P[ket_p, bra_p, ket_b, bra_b] of the weight-scaled site tensor t,
+    with every other leg closed ket-bra."""
     z = t.ndim - 1
     letters = _LEG_LETTERS[:z]
     li = leg - 1
@@ -720,10 +804,12 @@ def expectation_terms_peps(state: IPepsState, terms: OperatorTerms) -> float:
     d = state.local_dim
     total = 0.0
     imag_max = 0.0
+    # every site with all its weights, shared by the single-site terms and
+    # the + side of every pair
+    scaled = [_scaled_tensor(state, site) for site in range(state.n_sites)]
     for term in terms.terms:
         if len(term.sites) == 1:
-            for site in range(state.n_sites):
-                t = _scaled_tensor(state, site)
+            for t in scaled:
                 applied = np.tensordot(term.matrix, t, axes=([1], [0]))
                 add_work(float(t.size) * d)
                 num = complex(np.vdot(t, applied))
@@ -745,8 +831,9 @@ def expectation_terms_peps(state: IPepsState, terms: OperatorTerms) -> float:
         for b in bond_list(state):
             if b.axis != axis:
                 continue
-            p_i = _pair_transfer(state, b.i_site, b.i_leg, keep_bond_lam=True)
-            p_j = _pair_transfer(state, b.j_site, b.j_leg, keep_bond_lam=False)
+            p_i = _pair_transfer(scaled[b.i_site], b.i_leg)
+            p_j = _pair_transfer(_scaled_tensor(state, b.j_site, skip_leg=b.j_leg),
+                                 b.j_leg)
             combined = einsum2("kKaA,lLaA->kKlL", p_i, p_j)
             num = complex(einsum2("KLkl,kKlL->", op, combined))
             den = float(np.real(np.einsum("kkll->", combined)))

@@ -15,6 +15,12 @@ matrices, multiplies them with one ``np.dot`` and permutes the result, as
 operands' values alone, so equal values in any memory layout give the same
 bits.
 
+The factorizations (``svd_fixed``, ``qr_counted`` and ``psd_factor``'s
+eigendecomposition) call LAPACK directly through scipy, with the routines
+and workspaces of the ``np.linalg`` functions they replace, looked up once
+per dtype and shape.  On the 3 x 3 to 16 x 16 matrices the bond updates
+factor, ``np.linalg``'s Python wrappers cost about as much as LAPACK.
+
 Everything here is a pure function of its inputs; values can be shared
 freely across threads.  Scalars are real or complex double precision --
 numpy keeps real inputs real, which is the fast path the spin models use.
@@ -147,24 +153,53 @@ def einsum2(subscripts: str, *operands: np.ndarray) -> np.ndarray:
 # deterministic factorizations
 
 
+class _SvdPlan(NamedTuple):
+    """LAPACK ``gesdd`` of one matrix shape and dtype, with the optimal
+    workspace."""
+
+    gesdd: object
+    lwork: int
+
+
+@functools.lru_cache(maxsize=None)
+def _svd_plan(dtype: np.dtype, m: int, n: int) -> _SvdPlan:
+    """``gesdd`` for the thin SVD of an m x n matrix of ``dtype``, looked
+    up once, with the workspace LAPACK asks for, as ``np.linalg.svd``
+    uses."""
+    proto = np.zeros((m, n), dtype)
+    gesdd, gesdd_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), (proto,))
+    lwork = int(np.real(gesdd_lwork(m, n, compute_uv=1, full_matrices=0)[0]))
+    return _SvdPlan(gesdd, max(1, lwork))
+
+
 def svd_fixed(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD with a deterministic sign convention.
+    """Thin SVD with a deterministic sign convention.
 
     The largest-magnitude entry of each left singular vector is made
     real-positive (ties resolved by first occurrence), so reruns produce
-    bit-identical factors and golden traces are reproducible.
+    bit-identical factors and golden traces are reproducible.  The LAPACK
+    call of ``np.linalg.svd`` (``gesdd``, its workspace), made directly
+    through scipy's LAPACK; where that build computes as numpy's does, the
+    factors carry the same bits, and they come back C-ordered, as numpy's
+    do.  A LAPACK error code raises ``np.linalg.LinAlgError``.
     """
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
     m, n = mat.shape
     add_work(14.0 * m * n * min(m, n))
-    if u.shape[1]:
-        piv = np.argmax(np.abs(u), axis=0)
-        lead = u[piv, np.arange(u.shape[1])]
+    if not mat.size:  # LAPACK rejects an empty matrix; numpy returns empty factors
+        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        return u, s, vh
+    plan = _svd_plan(mat.dtype, m, n)
+    u, s, vh, info = plan.gesdd(mat, compute_uv=1, full_matrices=0, lwork=plan.lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"SVD did not converge (LAPACK info {info})")
+    lead = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
+    if np.iscomplexobj(u):
         mag = np.abs(lead)
         phase = np.where(mag > 0, lead / np.where(mag > 0, mag, 1.0), 1.0)
-        u = u * np.conj(phase)[None, :]
-        vh = vh * phase[:, None]
-    return u, s, vh
+    else:
+        phase = np.where(lead < 0, -1.0, 1.0)
+    return (np.multiply(u, phase.conj(), order="C"), s,
+            np.multiply(vh, phase[:, None], order="C"))
 
 
 class _QrPlan(NamedTuple):
@@ -214,22 +249,53 @@ def qr_counted(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, np.where(plan.below, 0.0, qr[:k])
 
 
+class _EighPlan(NamedTuple):
+    """LAPACK ``syevd`` (``heevd`` for complex) of one order and dtype,
+    with the optimal workspaces."""
+
+    evd: object
+    lwork: dict
+
+
+@functools.lru_cache(maxsize=None)
+def _eigh_plan(dtype: np.dtype, n: int) -> _EighPlan:
+    """``syevd``/``heevd`` for an n x n Hermitian matrix of ``dtype``,
+    lower triangle, looked up once, with the workspaces LAPACK asks for,
+    as ``np.linalg.eigh`` uses."""
+    proto = np.zeros((n, n), dtype)
+    name = "heevd" if np.iscomplexobj(proto) else "syevd"
+    evd, evd_lwork = get_lapack_funcs((name, name + "_lwork"), (proto,))
+    sizes = evd_lwork(n, compute_v=1, lower=1)[:-1]
+    keys = ("lwork", "liwork", "lrwork")[: len(sizes)]
+    return _EighPlan(evd, {k: max(1, int(np.real(v))) for k, v in zip(keys, sizes)})
+
+
 def psd_factor(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """X with X^dag X = N for Hermitian PSD N, and a pseudo-inverse of X.
 
     Built from the eigendecomposition with eigenvalues clipped at a
     relative floor, so nearly-null directions are projected out rather
-    than amplified.
+    than amplified.  The eigendecomposition is the LAPACK call of
+    ``np.linalg.eigh`` (``syevd``/``heevd`` on the lower triangle, its
+    workspaces), made directly through scipy's LAPACK, with the same bits
+    where that build computes as numpy's does.  A LAPACK error code raises
+    ``np.linalg.LinAlgError``.
     """
     n = 0.5 * (n + n.conj().T)
     add_work(9.0 * n.shape[0] ** 3)
-    w, v = np.linalg.eigh(n)
-    w = np.clip(w, 0.0, None)
+    plan = _eigh_plan(n.dtype, n.shape[0])
+    w, v, info = plan.evd(n, compute_v=1, lower=1, **plan.lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"eigendecomposition did not converge (LAPACK info {info})")
+    w = np.maximum(w, 0.0)
     floor = (w[-1] if w.size else 0.0) * 1e-28
     sq = np.sqrt(w)
-    inv = np.where(w > floor, 1.0 / np.where(w > floor, sq, 1.0), 0.0)
-    x = sq[:, None] * v.conj().T
-    x_inv = v * inv[None, :]
+    keep = w > floor
+    inv = np.where(keep, 1.0 / np.where(keep, sq, 1.0), 0.0)
+    # the layouts np.linalg.eigh's C-ordered v gave these products
+    x = np.multiply(sq[:, None], v.conj().T, order="F")
+    x_inv = np.multiply(v, inv[None, :], order="C")
     return x, x_inv
 
 
@@ -244,7 +310,7 @@ def choose_rank(s: np.ndarray, max_rank: int, rel_tol: float) -> tuple[int, floa
     if s.size == 0 or s[0] <= 0.0:
         return 0, 1.0
     thresh = rel_tol * s[0] if rel_tol > 0 else 0.0
-    rank = int(min(max_rank, np.count_nonzero(s > thresh), np.count_nonzero(s > 0)))
+    rank = min(max_rank, int(np.count_nonzero(s > thresh)))
     total = float(np.dot(s, s))
     dropped = float(np.dot(s[rank:], s[rank:]))
     return rank, dropped / total

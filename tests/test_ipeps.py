@@ -113,8 +113,10 @@ def identity_messages(st):
 
 def dressed_gram(t, leg, closures):
     """Bond environment of ``leg`` of ``t`` with each other leg closed by
-    its ket-bra matrix, from the package's closing and pairing kernels."""
-    return ipeps._hermitian_pair(t.conj(), ipeps._close_legs(t, closures), leg)
+    its ket-bra matrix, from the package's closing and pairing kernels,
+    hermitized."""
+    n = ipeps._leg_pair(t.conj(), ipeps._close_legs(t, closures), leg)
+    return 0.5 * (n + n.conj().T)
 
 
 def plain_messages(st, tol, max_sweeps=2000):
@@ -323,6 +325,37 @@ class TestMessageFixedPoint:
         _, sweeps = ipeps._message_fixed_point(st, 1e-12, identity_messages(st))
         _, plain = plain_messages(st, tol=1e-12)
         assert sweeps < plain
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0], ids=["zero-trace", "negative-trace"])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: kernel_state((2, 3, 3, 2, 2, 2, 2), 0, float),
+         lambda: checkerboard_state(3, 1)],
+        ids=["one-site", "checkerboard"])
+    def test_unusable_start_raises(self, make, scale):
+        # a start message with trace <= 0 cannot be normalized; the solve
+        # reports it as the sweep does, not as a failure of its own code
+        st = make()
+        start = ipeps._all_grams(st)
+        end = list(start)[1]
+        start[end] = scale * start[end]
+        with pytest.raises(RuntimeError, match="bond environment collapsed to zero"):
+            ipeps._message_fixed_point(st, 1e-10, start)
+
+    @KERNEL_CASES
+    def test_uniform_state_same_on_both_cells(self, shape, dtype):
+        # a one-site state written on the two-site cell, with both sites
+        # and both bonds of each axis equal, has the one-site messages on
+        # every end, though the two cells sweep their ends in other orders
+        one = kernel_state(shape, 0, dtype)
+        two = ipeps.IPepsState(
+            [one.tensors[0], one.tensors[0].copy()],
+            {(a, s): one.lams[(a, 0)] for a in range(one.dimension) for s in (0, 1)})
+        ref, _ = ipeps._message_fixed_point(one, 1e-12, identity_messages(one))
+        got, _ = ipeps._message_fixed_point(two, 1e-12, identity_messages(two))
+        assert len(got) == 2 * len(ref)
+        for (site, leg), m in got.items():
+            assert np.max(np.abs(m - ref[(0, leg)])) <= 1e-8
 
     @MESSAGE_STATES
     def test_one_sweep_madds(self, make, monkeypatch):

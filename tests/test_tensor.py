@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from specgap import imps, ipeps, models, wii
-from specgap.tensor import (choose_rank, einsum2, qr_counted, reset_work,
-                            svd_fixed, truncated_svd, work_count)
+from specgap.tensor import (choose_rank, einsum2, psd_factor, qr_counted,
+                            reset_work, svd_fixed, truncated_svd, work_count)
 
 # every subscript string the package passes to einsum2, by call site
 EINSUM2_SUBSCRIPTS = [
@@ -262,3 +262,76 @@ class TestQrCounted:
         for got, ref in ((q, q_ref), (r, r_ref)):
             assert got.shape == ref.shape and got.dtype == ref.dtype
             assert np.ascontiguousarray(got).tobytes() == ref.tobytes()
+
+
+def _svd_reference(mat):
+    """``np.linalg.svd`` with the sign convention of ``svd_fixed``: the
+    largest-magnitude entry of each left vector made real-positive."""
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    lead = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    mag = np.abs(lead)
+    phase = np.where(mag > 0, lead / np.where(mag > 0, mag, 1.0), 1.0)
+    return u * np.conj(phase)[None, :], s, vh * phase[:, None]
+
+
+def _psd_reference(n):
+    """``psd_factor``'s factors built from ``np.linalg.eigh``."""
+    n = 0.5 * (n + n.conj().T)
+    w, v = np.linalg.eigh(n)
+    w = np.clip(w, 0.0, None)
+    floor = w[-1] * 1e-28
+    sq = np.sqrt(w)
+    inv = np.where(w > floor, 1.0 / np.where(w > floor, sq, 1.0), 0.0)
+    return sq[:, None] * v.conj().T, v * inv[None, :]
+
+
+# the factorization shapes the workloads use: the 3D gauge fix (3, 6),
+# the gate cut (16), the chain at D = 32 (64 x 64, 64 x 32), and a complex
+# case
+LAPACK_CASES = pytest.mark.parametrize(
+    "shape,dtype",
+    [((3, 3), float), ((6, 6), float), ((16, 16), float), ((64, 64), float),
+     ((64, 32), float), ((5, 5), complex)],
+    ids=["3", "6", "16", "64", "64x32", "complex-5"],
+)
+
+
+class TestLapackDirect:
+    """The factorizations call LAPACK directly; they must give the bits
+    of the ``np.linalg`` calls they replace, in the same memory order."""
+
+    @LAPACK_CASES
+    def test_svd_fixed_same_bits_as_numpy(self, shape, dtype):
+        rng = np.random.default_rng(5)
+        mat = rng.normal(size=shape)
+        if dtype is complex:
+            mat = mat + 1j * rng.normal(size=shape)
+        reset_work()
+        got = svd_fixed(mat)
+        m, n = shape
+        assert work_count() == 14.0 * m * n * min(m, n)
+        for g, ref in zip(got, _svd_reference(mat)):
+            assert g.dtype == ref.dtype and g.flags.c_contiguous == ref.flags.c_contiguous
+            assert np.array_equal(g, ref)
+
+    def test_svd_fixed_empty_matrix(self):
+        u, s, vh = svd_fixed(np.zeros((0, 3)))
+        assert u.shape == (0, 0) and s.shape == (0,) and vh.shape == (0, 3)
+
+    @LAPACK_CASES
+    def test_psd_factor_same_bits_as_numpy(self, shape, dtype):
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=shape)
+        if dtype is complex:
+            a = a + 1j * rng.normal(size=shape)
+        # a PSD matrix with a null direction, so the floor is exercised
+        n = a.conj().T @ a if shape[0] >= shape[1] else a @ a.conj().T
+        n[:, 0] = n[0, :] = 0.0
+        reset_work()
+        got = psd_factor(n)
+        assert work_count() == 9.0 * n.shape[0] ** 3
+        for g, ref in zip(got, _psd_reference(n)):
+            assert g.dtype == ref.dtype
+            assert g.flags.c_contiguous == ref.flags.c_contiguous
+            assert g.flags.f_contiguous == ref.flags.f_contiguous
+            assert np.array_equal(g, ref)
