@@ -221,7 +221,9 @@ def sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
     A point that fails (usage error or numeric failure) becomes a row with
     gap nan and its exit status as the quality; the sweep returns the
     worst exit code of its points, ranked usage error (1) > numeric
-    failure (3) > no linear window (2) > fitted (0).
+    failure (3) > no linear window (2) > fitted (0).  Each point's files
+    are tagged ``<tag>_<param><value:g>``; a grid with two values that
+    print alike there is a usage error, before anything runs.
     """
     if not values:
         print("error: empty sweep grid", file=sys.stderr)
@@ -240,13 +242,19 @@ def sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
     if param in ignored_fields(cfg.model):
         print(f"error: {cfg.model} does not depend on {param}", file=sys.stderr)
         return EXIT_USAGE
+    tags = [f"{cfg.tag}_{param}{v:g}" for v in values]
+    shared = sorted({tag for tag in tags if tags.count(tag) > 1})
+    if shared:
+        print(f"error: grid values share the file tag {', '.join(shared)}",
+              file=sys.stderr)
+        return EXIT_USAGE
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     worst = EXIT_OK
-    for v in values:
+    for v, tag in zip(values, tags):
         sub = replace(cfg, **{param: int(v) if param == "D" else float(v)},
-                      tag=f"{cfg.tag}_{param}{v:g}")
+                      tag=tag)
         summary = outdir / f"{sub.tag}_summary.txt"
         summary.unlink(missing_ok=True)
         code = run(sub)

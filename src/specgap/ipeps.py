@@ -25,7 +25,9 @@ environment); in the superorthogonal gauge that closure is the bond-local
 reduced operator diag(lambda^2).
 
 The gauge fix spends its time on bond environments, contractions of a site
-tensor over every leg but one.  A solve lays each site tensor out once per
+tensor over every leg but one, each other leg closed with the
+weight-dressed message coming in from its neighbor.  One pass computes
+them all, planned once per state: it lays each site tensor out once per
 axis a, in the order (p, +a, -a, then the later axes' legs cyclically).
 Closing the leading virtual leg of one layout with a matrix is one product
 stacked over the physical index, whose result has that leg last: closing
@@ -33,16 +35,19 @@ the next axis's layout leg by leg ends in axis a's own layout, with no
 operand copied.  There, each end of the axis closes its partner leg and
 pairs its own, the second or third axis, in products whose blocks are
 contiguous.  The closures of the other axes are shared by both ends.  A
-bond's two messages share its dimension and weights, so they are kept,
-normalized and dressed as one (2, D, D) stack.
+bond's two environments share its dimension and weights, so they are
+kept, normalized and dressed as one (2, D, D) stack, + end first.
 
-The bond environments are the fixed point of a Gauss-Seidel message
-sweep (belief propagation), started from the weight-squared environments
-that the residual check has just computed.  That sweep converges
-linearly, so near the fixed point its iterates are Anderson-mixed (Walker
-& Ni, SIAM J. Numer. Anal. 49, 1715 (2011)) over the last
-``MESSAGE_ANDERSON_DEPTH`` sweeps; a mix that is not a usable set of
-messages falls back to the plain sweep.
+Run from identity messages, whose dressed form is diag(lambda^2), and
+reading only its input (a Jacobi pass), the pass gives the weight-squared
+environments; the per-site rescale and the residual are read from them,
+after planning.  With Gauss-Seidel updates it is the sweep of the message
+solve (belief propagation), started from those environments on the same
+plan; the solve trace-normalizes its messages, so the rescale does not
+change them.  That sweep converges linearly, so near the fixed point its
+iterates are Anderson-mixed (Walker & Ni, SIAM J. Numer. Anal. 49, 1715
+(2011)) over the last ``MESSAGE_ANDERSON_DEPTH`` sweeps; a mix that is not
+a usable set of messages falls back to the plain sweep.
 """
 
 from __future__ import annotations
@@ -166,60 +171,18 @@ def _site_weights(state: IPepsState, site: int) -> dict[int, np.ndarray]:
     return {leg: state.lams[key] for leg, key in enumerate(keys, 1)}
 
 
-def _leg_weights(state: IPepsState) -> dict[tuple[int, int], np.ndarray]:
-    """Bond weights of every (site, leg)."""
-    return {
-        (site, leg): w
-        for site in range(state.n_sites)
-        for leg, w in _site_weights(state, site).items()
-    }
-
-
-def _axis_ends(state: IPepsState) -> list[tuple[int, list[tuple[int, int, int]]]]:
-    """Bond ends grouped by axis, in bond order: (axis, [(site, leg,
-    partner)]) with ``partner`` the other leg of the axis on that site."""
-    blocks: list[tuple[int, list]] = []
-    for b in bond_list(state):
-        if not blocks or blocks[-1][0] != b.axis:
-            blocks.append((b.axis, []))
-        blocks[-1][1].append((b.i_site, b.i_leg, b.i_leg + 1))
-        blocks[-1][1].append((b.j_site, b.j_leg, b.j_leg - 1))
-    return blocks
-
-
-def _close_legs(t: np.ndarray, closures: dict[int, np.ndarray]) -> np.ndarray:
-    """Close each listed leg in turn: a weight vector scales the leg, a
-    matrix is contracted with it (old index first)."""
-    for leg, c in closures.items():
-        if c.ndim == 1:
-            shape = [1] * t.ndim
-            shape[leg] = c.size
-            t = t * c.reshape(shape)
-        else:
-            t = _apply_on_leg(t, leg, c)
-    return t
-
-
 def _scaled_tensor(
     state: IPepsState, site: int, skip_leg: int | None = None
 ) -> np.ndarray:
     """Site tensor with the full bond weight absorbed on every leg
     except ``skip_leg``."""
-    return _close_legs(state.tensors[site], {
-        leg: w for leg, w in _site_weights(state, site).items() if leg != skip_leg
-    })
-
-
-def _leg_pair(bra: np.ndarray, ket: np.ndarray, leg: int) -> np.ndarray:
-    """N[b, b'] = sum over every axis but ``leg`` of bra[..b..] ket[..b'..]:
-    the (outer, leg, inner) block products, summed over the outer index.
-    ``_all_grams`` calls it on legs 1 and 2 of an axis layout, where few
-    blocks are stacked and each is contiguous."""
-    add_work(float(ket.size) * ket.shape[leg])
-    outer = math.prod(bra.shape[:leg])
-    b3 = bra.reshape(outer, bra.shape[leg], -1)
-    k3 = ket.reshape(outer, ket.shape[leg], -1)
-    return np.matmul(b3, k3.transpose(0, 2, 1)).sum(axis=0)
+    t = state.tensors[site]
+    for leg, w in _site_weights(state, site).items():
+        if leg != skip_leg:
+            shape = [1] * t.ndim
+            shape[leg] = w.size
+            t = t * w.reshape(shape)
+    return t
 
 
 def _apply_on_leg(t: np.ndarray, leg: int, g: np.ndarray) -> np.ndarray:
@@ -238,82 +201,162 @@ def _apply_on_leg(t: np.ndarray, leg: int, g: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _axis_orders(ndim: int) -> tuple[tuple[int, ...], ...]:
     """Per axis a, the axis order (p, +a, -a, then the legs of the axes
-    after a, cyclically) in which the environment kernels read a site
-    tensor of ``ndim`` axes.  Axis 0's order is the tensor's own."""
+    after a, cyclically) in which the bond pass reads a site tensor of
+    ``ndim`` axes.  Axis 0's order is the tensor's own."""
     z = ndim - 1
     return tuple((0,) + tuple(1 + (2 * a + k) % z for k in range(z))
                  for a in range(z // 2))
 
 
-def _all_grams(state: IPepsState) -> dict[tuple[int, int], np.ndarray]:
-    """Mean-field bond environment N[b,b'] of every bond end (site, leg),
-    in bond order: every other leg closed with its squared weight, the
-    physical index summed.  Per (axis, site), one product lays the tensor
-    out in the axis's order (p, +a, -a, ...) and absorbs the other axes'
-    weights; each end then absorbs its partner leg's weight and pairs its
-    own leg, the second or third axis of that layout."""
-    lam = _leg_weights(state)
-    orders = _axis_orders(state.tensors[0].ndim)
-    # per site: the shared tensor lands in the first buffer, each end's
-    # ket in the second; reusing them spares the allocator
-    bufs = [(np.empty(t.size, t.dtype), np.empty(t.size, t.dtype))
-            for t in state.tensors]
-    grams = {}
-    for axis, ends in _axis_ends(state):
-        shared = {}
-        for site, leg, partner in ends:
-            if site not in shared:
-                t = state.tensors[site].transpose(orders[axis])
-                off = functools.reduce(
-                    np.multiply.outer, [lam[(site, l)] for l in orders[axis][3:]])
-                shared[site] = np.multiply(
-                    t, off, out=bufs[site][0].reshape(t.shape))
-            # the + end's partner is the layout's third axis, the - end's
-            # its second
-            open_leg = 1 if leg < partner else 2
-            x = shared[site]
-            w = lam[(site, partner)].reshape((-1,) + (1,) * (x.ndim - 4 + open_leg))
-            ket = np.multiply(x, w, out=bufs[site][1].reshape(x.shape))
-            grams[(site, leg)] = _leg_pair(ket.conj(), ket, open_leg)
-    return grams
+class _BondPass(NamedTuple):
+    """One pass over a state's bonds, planned once (``_plan_pass``): every
+    product of ``_sweep`` as a view of fixed arrays, so a pass makes one
+    matmul per product.  Per axis, ``chains`` close the other axes' legs
+    from the next axis's layout, each leading leg in turn, reading the
+    incoming message of (bond, side); ``ends`` list the axis's bonds with
+    their dimension and the products of their + and - ends."""
+
+    lams: list[np.ndarray]
+    dressing: list[np.ndarray]
+    chains: list[list[tuple]]
+    ends: list[list[tuple]]
+    madds: float
+    dtype: np.dtype
 
 
-def _residual_from_grams(state: IPepsState, grams) -> float:
-    """max over bonds of |rho_left - diag(lam^2)|_F + |rho_right - ...|_F
-    with rho the weight-dressed bond environments."""
-    worst = 0.0
-    for b in bond_list(state):
-        lam = state.lams[b.key]
+def _plan_pass(st: IPepsState) -> _BondPass:
+    """Lay out every site tensor of ``st`` once per axis and plan the
+    pass's products on that layout.  Per site: the tensor in each axis's
+    order, the bra likewise, and two buffers; reusing them spares the
+    allocator.  Per (axis, site), the chain writes the buffers
+    alternately, so the shared tensor lands in the second one in the
+    axis's own layout (p, +a, -a, rest); per end, the partner-leg closure
+    goes into the first buffer, and the pair reads it."""
+    bonds = bond_list(st)
+    n_axes = st.dimension
+    p = st.local_dim
+    orders = _axis_orders(st.tensors[0].ndim)
+    dtype = np.result_type(*st.tensors)
+    # every bond end as (bond index, side), side 0 the + end
+    side = {}
+    for bi, b in enumerate(bonds):
+        side[(b.i_site, b.i_leg)] = (bi, 0)
+        side[(b.j_site, b.j_leg)] = (bi, 1)
+    chains = [[] for _ in range(n_axes)]
+    site_ends = [[None] * st.n_sites for _ in range(n_axes)]
+    madds = 0.0
+    for s, t in enumerate(st.tensors):
+        kets = [np.ascontiguousarray(t.transpose(order)) for order in orders]
+        bufs = (np.empty(t.size, dtype), np.empty(t.size, dtype))
+        for a in range(n_axes):
+            x = kets[(a + 1) % n_axes]
+            legs = orders[(a + 1) % n_axes][1:-2]
+            for step, leg in enumerate(legs):
+                # the leading leg, read transposed: (p, rest, leg) blocks
+                xt = x.reshape(p, x.shape[1], -1).transpose(0, 2, 1)
+                y = bufs[step % 2].reshape(xt.shape)
+                chains[a].append((xt, side[(s, leg)], y))
+                x = y.reshape(x.shape[:1] + x.shape[2:] + x.shape[1:2])
+            bra = kets[a].conj()
+            n_p, n_m = x.shape[1], x.shape[2]
+            # the + end closes the -a leg in blocks stacked over (p, +a)
+            # and pairs +a in blocks stacked over p; the - end the other
+            # way round
+            site_ends[a][s] = (
+                (x.reshape(p * n_p, n_m, -1), bufs[0].reshape(p * n_p, n_m, -1),
+                 side[(s, leg_index(a, 1))], bra.reshape(p, n_p, -1),
+                 bufs[0].reshape(p, n_p, -1).transpose(0, 2, 1)),
+                (x.reshape(p, n_p, -1), bufs[0].reshape(p, n_p, -1),
+                 side[(s, leg_index(a, 0))], bra.reshape(p * n_p, n_m, -1),
+                 bufs[0].reshape(p * n_p, n_m, -1).transpose(0, 2, 1)),
+            )
+            madds += t.size * (sum(t.shape[leg] for leg in legs) + 2 * (n_p + n_m))
+    lams = [st.lams[b.key] for b in bonds]
+    ends = [[] for _ in range(n_axes)]
+    for bi, b in enumerate(bonds):
+        ends[b.axis].append((bi, lams[bi].size, (
+            site_ends[b.axis][b.i_site][0], site_ends[b.axis][b.j_site][1])))
+    return _BondPass(lams, [np.outer(w, w) for w in lams], chains, ends,
+                     madds, dtype)
+
+
+def _sweep(plan: _BondPass, dressed: list[np.ndarray], update: bool
+           ) -> list[np.ndarray]:
+    """One pass over the bonds, axis by axis in bond order, that closes
+    every leg but the open one with its incoming message in ``dressed``
+    (per bond, a (2, D, D) stack, + end first); returns each bond's stack
+    of outgoing environments, in bond order.
+
+    With ``update`` (a Gauss-Seidel sweep), each bond's stack is
+    hermitized and trace-normalized, and its swapped, weight-dressed form
+    replaces the bond's entry of ``dressed`` before later bonds read it; a
+    stack with a trace <= 0 raises RuntimeError.  Without (a Jacobi
+    pass), ``dressed`` is only read and the stacks are returned raw.  The
+    two ends of one bond read no message the other writes.
+    """
+    add_work(plan.madds)
+    out = []
+    for chains, ends in zip(plan.chains, plan.ends):
+        for xt, (bi, k), y in chains:
+            np.matmul(xt, dressed[bi][k], out=y)
+        for bi, n, pair in ends:
+            fresh = np.empty((2, n, n), plan.dtype)
+            for k, (ket_in, ket, (ci, ck), bra, ket_t) in enumerate(pair):
+                np.matmul(dressed[ci][ck].T, ket_in, out=ket)
+                np.add.reduce(np.matmul(bra, ket_t), axis=0, out=fresh[k])
+            if update:
+                fresh = _usable_messages(fresh)
+                if fresh is None:
+                    raise RuntimeError("bond environment collapsed to zero")
+                dressed[bi] = fresh[::-1] * plan.dressing[bi]
+            out.append(fresh)
+    return out
+
+
+def _grams(plan: _BondPass) -> list[np.ndarray]:
+    """Mean-field bond environments N[b,b'] of every bond end, every other
+    leg closed with its squared weight: the pass run from identity
+    messages, whose dressed form is diag(lam^2), as a Jacobi pass.  Per
+    bond a raw (2, D, D) stack, + end first."""
+    return _sweep(plan, [np.stack([np.diag(w * w)] * 2) for w in plan.lams], False)
+
+
+def _residual(plan: _BondPass, grams: list[np.ndarray]) -> float:
+    """max over bonds of |rho_+ - diag(lam^2)|_F + |rho_- - diag(lam^2)|_F
+    with rho the weight-dressed bond environments; NaN when one is not
+    finite."""
+    res = []
+    for lam, g in zip(plan.lams, grams):
         target = np.diag(lam**2)
-        res = 0.0
-        for site, leg in ((b.i_site, b.i_leg), (b.j_site, b.j_leg)):
-            rho = lam[:, None] * grams[(site, leg)] * lam[None, :]
-            res += float(np.linalg.norm(rho - target))
-        worst = max(worst, res)
-    return worst
+        rho = lam[:, None] * g * lam[None, :]
+        res.append(sum(float(np.linalg.norm(r - target)) for r in rho))
+    return float(np.max(res))
 
 
 def superorthogonality_residual(state: IPepsState) -> float:
-    return _residual_from_grams(state, _all_grams(state))
+    plan = _plan_pass(state)
+    return _residual(plan, _grams(plan))
 
 
-def _rescale_sites(state: IPepsState, grams) -> None:
+def _rescale_sites(state: IPepsState, grams: list[np.ndarray]) -> None:
     """Fix the per-site scale so the bond environments approach identity
     (gauge rotations leave exactly this one scalar per site undetermined).
-    Updates the tensors and the gram table in place."""
-    for site in range(state.n_sites):
-        ratios = [
-            float(np.real(np.trace(g))) / g.shape[0]
-            for (s, _), g in grams.items()
-            if s == site
-        ]
-        c = float(np.mean(ratios))
-        if c <= 0.0:
-            raise RuntimeError("site tensor collapsed to zero norm")
-        state.tensors[site] = state.tensors[site] / np.sqrt(c)
-        for key in grams:
-            if key[0] == site:
-                grams[key] = grams[key] / c
+    Updates the tensors and the environment stacks in place."""
+    bonds = bond_list(state)
+    ratios = [[] for _ in state.tensors]
+    for b, g in zip(bonds, grams):
+        tr = g.trace(axis1=1, axis2=2).real / g.shape[1]
+        ratios[b.i_site].append(tr[0])
+        ratios[b.j_site].append(tr[1])
+    c = np.array([np.mean(r) for r in ratios])
+    if not np.all(np.isfinite(c)):
+        raise RuntimeError("bond environment not finite")
+    if np.any(c <= 0.0):
+        raise RuntimeError("site tensor collapsed to zero norm")
+    for site, c_site in enumerate(c):
+        state.tensors[site] = state.tensors[site] / np.sqrt(c_site)
+    for b, g in zip(bonds, grams):
+        g /= np.array([c[b.i_site], c[b.j_site]])[:, None, None]
 
 
 @dataclass
@@ -370,31 +413,22 @@ def _usable_messages(m: np.ndarray) -> np.ndarray | None:
 
 
 def _message_fixed_point(
-    st: IPepsState, tol: float, start: dict[tuple[int, int], np.ndarray]
-) -> tuple[dict[tuple[int, int], np.ndarray], int]:
-    """Outgoing bond environments out[(site, leg)] solved self-consistently,
-    in bond order, and the number of sweeps it took.
+    plan: _BondPass, tol: float, start: list[np.ndarray]
+) -> tuple[list[np.ndarray], int]:
+    """Outgoing bond environments solved self-consistently on the pass
+    ``plan``, per bond a (2, D, D) stack in bond order, + end first, and
+    the number of sweeps it took.
 
-    out[(i, l)] is the environment of leg l seen from site i when every
-    other leg of i is closed with the weight-dressed message coming in
-    from its own neighbor.  The solve starts from the given table
-    ``start`` of environments per end, hermitized and trace-normalized
-    here; a start with a trace <= 0 raises RuntimeError.  The plain
-    weight-squared environments (``_all_grams``) are one Jacobi sweep from
+    The environment of leg l seen from site i is taken with every other
+    leg of i closed by the weight-dressed message coming in from its own
+    neighbor.  Each sweep is the pass with Gauss-Seidel updates
+    (``_sweep``).  The solve starts from the stacks ``start``, hermitized
+    and trace-normalized here; a start with a trace <= 0 raises
+    RuntimeError, and so does a sweep whose output is not finite.  The
+    weight-squared environments (``_grams``) are one Jacobi pass from
     identity messages; at the gauge fixed point the solution is the
-    identity again.  Messages are trace-normalized.
-
-    The two ends of a bond share its dimension and weights, so their
-    messages are kept as one (2, D, D) stack, + end first, and are
-    normalized, compared and dressed together.  One Gauss-Seidel sweep
-    updates the bonds axis by axis, in bond order; the two ends of one
-    bond read no message the other writes.  Per site and axis, the other
-    axes' legs are closed once from the tensor laid out for the next
-    axis, each leading leg in turn, which leaves the tensor in the axis's
-    own layout (p, +a, -a, ...); each end then closes its partner leg and
-    pairs its own with the bra in that layout.  Every product is planned
-    once per solve as a view of fixed arrays, so a sweep runs one matmul
-    per product and counts the madds of the per-leg kernels.
+    identity again.  Messages are trace-normalized, so a per-site scalar
+    applied to the state after ``plan`` was made does not change them.
 
     Once a sweep changed no entry by more than ``MESSAGE_ANDERSON_START``,
     the next sweep starts from the Anderson mix of the last
@@ -406,122 +440,51 @@ def _message_fixed_point(
     sweep's output is returned.  Hitting ``MESSAGE_MAX_SWEEPS`` warns and
     returns the last sweep's output.
     """
-    bonds = bond_list(st)
-    n_axes = st.dimension
-    p = st.local_dim
-    orders = _axis_orders(st.tensors[0].ndim)
-    sizes = [st.lams[b.key].size for b in bonds]
+    sizes = [w.size for w in plan.lams]
     splits = np.cumsum([2 * n * n for n in sizes])[:-1]
-    # per bond, w_b w_b' of its weights w
-    dressing = [np.outer(st.lams[b.key], st.lams[b.key]) for b in bonds]
-    dtype = np.result_type(*st.tensors, *start.values())
-    # every bond end as (bond index, side), side 0 the + end
-    side = {}
-    for bi, b in enumerate(bonds):
-        side[(b.i_site, b.i_leg)] = (bi, 0)
-        side[(b.j_site, b.j_leg)] = (bi, 1)
-    axis_bonds = [[bi for bi, b in enumerate(bonds) if b.axis == a]
-                  for a in range(n_axes)]
 
-    # The sweep's products, planned once as views of fixed arrays, so a
-    # sweep makes one matmul per product.  Per site: the tensor laid out
-    # in each axis's order, the bra likewise, and two buffers; reusing
-    # them spares the allocator.  Per (axis, site): the chain that closes
-    # the other axes' legs from the next axis's layout, each leading leg
-    # in turn, writing the buffers alternately, so the shared tensor lands
-    # in the second one in the axis's own layout (p, +a, -a, rest); then,
-    # per end, the partner-leg closure into the first buffer and the pair.
-    chains = [[None] * st.n_sites for _ in range(n_axes)]
-    ends = [[None] * st.n_sites for _ in range(n_axes)]
-    sweep_madds = 0.0
-    for s, t in enumerate(st.tensors):
-        kets = [np.ascontiguousarray(t.transpose(order)) for order in orders]
-        bufs = (np.empty(t.size, dtype), np.empty(t.size, dtype))
-        for a in range(n_axes):
-            x = kets[(a + 1) % n_axes]
-            legs = orders[(a + 1) % n_axes][1:-2]
-            chains[a][s] = []
-            for step, leg in enumerate(legs):
-                # the leading leg, read transposed: (p, rest, leg) blocks
-                xt = x.reshape(p, x.shape[1], -1).transpose(0, 2, 1)
-                y = bufs[step % 2].reshape(xt.shape)
-                chains[a][s].append((xt, side[(s, leg)], y))
-                x = y.reshape(x.shape[:1] + x.shape[2:] + x.shape[1:2])
-            bra = kets[a].conj()
-            n_p, n_m = x.shape[1], x.shape[2]
-            # the + end closes the -a leg in blocks stacked over (p, +a)
-            # and pairs +a in blocks stacked over p; the - end the other
-            # way round
-            ends[a][s] = (
-                (x.reshape(p * n_p, n_m, -1), bufs[0].reshape(p * n_p, n_m, -1),
-                 side[(s, leg_index(a, 1))], bra.reshape(p, n_p, -1),
-                 bufs[0].reshape(p, n_p, -1).transpose(0, 2, 1)),
-                (x.reshape(p, n_p, -1), bufs[0].reshape(p, n_p, -1),
-                 side[(s, leg_index(a, 0))], bra.reshape(p * n_p, n_m, -1),
-                 bufs[0].reshape(p * n_p, n_m, -1).transpose(0, 2, 1)),
-            )
-            sweep_madds += t.size * (sum(t.shape[leg] for leg in legs) + 2 * (n_p + n_m))
-
-    def dress(bi, m):
-        """Incoming messages of bond ``bi``'s two ends, + end first: the
-        stack ``m`` of its outgoing ones swapped and weight-dressed."""
-        return m[::-1] * dressing[bi]
-
-    def sweep(msgs, dressed):
-        """One Gauss-Seidel sweep from ``msgs``.  ``dressed`` holds their
-        incoming form and follows the sweep's output in place."""
-        add_work(sweep_madds)
-        out = list(msgs)
-        delta = 0.0
-        for a in range(n_axes):
-            for chain in chains[a]:
-                for xt, (bi, k), y in chain:
-                    np.matmul(xt, dressed[bi][k], out=y)
-            for bi in axis_bonds[a]:
-                b = bonds[bi]
-                fresh = np.empty((2, sizes[bi], sizes[bi]), dtype)
-                for k, (ket_in, ket, (ci, ck), bra, ket_t) in enumerate(
-                        (ends[a][b.i_site][0], ends[a][b.j_site][1])):
-                    np.matmul(dressed[ci][ck].T, ket_in, out=ket)
-                    np.add.reduce(np.matmul(bra, ket_t), axis=0, out=fresh[k])
-                fresh = _usable_messages(fresh)
-                if fresh is None:
-                    raise RuntimeError("bond environment collapsed to zero")
-                delta = max(delta, float(np.abs(fresh - msgs[bi]).max()))
-                out[bi] = fresh
-                dressed[bi] = dress(bi, fresh)
-        return out, delta
+    def dress(msgs):
+        """Incoming messages of every bond's two ends, + end first: each
+        stack of outgoing ones swapped and weight-dressed."""
+        return [m[::-1] * w for m, w in zip(msgs, plan.dressing)]
 
     def stack(msgs):
         return np.concatenate([m.ravel() for m in msgs])
 
-    def unstack(v):
-        """Hermitized, trace-normalized messages from a stacked vector,
-        or None when they are not usable."""
-        if not np.all(np.isfinite(v)):
-            return None
+    def usable(stacks):
+        """Hermitized, trace-normalized messages, or None when one is not
+        usable."""
         msgs = []
-        for n, m in zip(sizes, np.split(v, splits)):
-            msgs.append(_usable_messages(m.reshape(2, n, n)))
+        for m in stacks:
+            msgs.append(_usable_messages(m))
             if msgs[-1] is None:
                 return None
         return msgs
 
-    x = []
-    for b in bonds:
-        x.append(_usable_messages(np.stack(
-            (start[(b.i_site, b.i_leg)], start[(b.j_site, b.j_leg)]))))
-        if x[-1] is None:
-            raise RuntimeError("bond environment collapsed to zero")
-    dx = [dress(bi, m) for bi, m in enumerate(x)]
+    def unstack(v):
+        """``usable`` of the messages in a stacked vector, or None when it
+        is not finite."""
+        if not np.all(np.isfinite(v)):
+            return None
+        return usable(m.reshape(2, n, n) for n, m in zip(sizes, np.split(v, splits)))
+
+    x = usable(start)
+    if x is None:
+        raise RuntimeError("bond environment collapsed to zero")
+    dx = dress(x)
     fs: list[np.ndarray] = []
     gs: list[np.ndarray] = []
     for sweeps in range(1, MESSAGE_MAX_SWEEPS + 1):
-        out, delta = sweep(x, dx)
+        out = _sweep(plan, dx, True)
+        g = stack(out)
+        f = g - stack(x)
+        # NaN propagates through the max, so this also reads a NaN
+        delta = float(np.abs(f).max())
+        if not math.isfinite(delta):
+            raise RuntimeError("bond environment not finite")
         if delta <= tol:
             break
-        g = stack(out)
-        fs.append(g - stack(x))
+        fs.append(f)
         gs.append(g)
         del fs[:-MESSAGE_ANDERSON_DEPTH - 1], gs[:-MESSAGE_ANDERSON_DEPTH - 1]
         x = out
@@ -530,7 +493,7 @@ def _message_fixed_point(
             if mixed is None:
                 fs, gs = fs[-1:], gs[-1:]
             else:
-                x, dx = mixed, [dress(bi, m) for bi, m in enumerate(mixed)]
+                x, dx = mixed, dress(mixed)
     else:
         warnings.warn(
             f"message fixed point unconverged after {MESSAGE_MAX_SWEEPS} sweeps "
@@ -538,18 +501,17 @@ def _message_fixed_point(
             RuntimeWarning,
             stacklevel=3,
         )
-    ends = {}
-    for b, m in zip(bonds, out):
-        ends[(b.i_site, b.i_leg)], ends[(b.j_site, b.j_leg)] = m
-    return ends, sweeps
+    return out, sweeps
 
 
-def _rescaled_grams(state: IPepsState):
-    """Bond environments of ``state`` after its per-site rescale (done in
-    place), and the residual they give."""
-    grams = _all_grams(state)
+def _planned_grams(state: IPepsState):
+    """The pass of ``state``, its bond environments after the per-site
+    rescale (done in place, after planning), and the residual they
+    give."""
+    plan = _plan_pass(state)
+    grams = _grams(plan)
     _rescale_sites(state, grams)
-    return grams, _residual_from_grams(state, grams)
+    return plan, grams, _residual(plan, grams)
 
 
 def superorthogonalize(
@@ -561,13 +523,16 @@ def superorthogonalize(
     """Gauge fixing toward the superorthogonal form in at most ``max_iter``
     passes.
 
-    Each pass solves the bond environments self-consistently (message
-    iteration, started from the environments the residual was last read
-    from) and then rotates every bond so both of its environments become
-    the identity; the inserted maps and the new weights multiply back to
-    the old weights, so the state itself never changes.  Stops at
-    residual ``so_tol`` (also the message iteration's tolerance, except on
-    a pass that cuts) or after ``max_iter`` passes.
+    The bond pass is planned once per state: on entry and after every
+    pass.  It gives the weight-squared environments, which set the
+    per-site scale (applied to the state after planning) and the
+    residual; each gauge-fix pass then solves the bond environments
+    self-consistently on the same plan (message iteration, started from
+    those environments) and rotates every bond so both of its
+    environments become the identity; the inserted maps and the new
+    weights multiply back to the old weights, so the state itself never
+    changes.  Stops at residual ``so_tol`` (also the message iteration's
+    tolerance, except on a pass that cuts) or after ``max_iter`` passes.
 
     With ``D_max``, a pass on a state with a bond wider than ``D_max``
     solves its messages only to ``MESSAGE_ANDERSON_START``, by plain
@@ -577,10 +542,11 @@ def superorthogonalize(
     wide state runs that pass even when it meets ``so_tol`` on entry, so
     with ``max_iter >= 1`` every returned bond is at most ``D_max``.  The
     residual, the ``converged`` flag and the stall warning describe the
-    returned state.
+    returned state; a residual that is not finite reads unconverged and
+    warns.
     """
     st = state.copy()
-    grams, residual = _rescaled_grams(st)
+    plan, grams, residual = _planned_grams(st)
     iterations = 0
     sweeps = 0
     while iterations < max_iter:
@@ -588,12 +554,12 @@ def superorthogonalize(
         if residual <= so_tol and not cut:
             break
         msgs, n_sweeps = _message_fixed_point(
-            st, MESSAGE_ANDERSON_START if cut else so_tol, grams)
+            plan, MESSAGE_ANDERSON_START if cut else so_tol, grams)
+        # free this plan's buffers before the next plan allocates its own
+        del plan
         sweeps += n_sweeps
-        for b in bond_list(st):
+        for b, (n_i, n_j) in zip(bond_list(st), msgs):
             lam = st.lams[b.key]
-            n_i = msgs[(b.i_site, b.i_leg)]
-            n_j = msgs[(b.j_site, b.j_leg)]
             x, x_inv = psd_factor(n_i)
             y, y_inv = psd_factor(n_j)
             u, st.lams[b.key], vh, _ = truncated_svd(
@@ -606,9 +572,9 @@ def superorthogonalize(
         iterations += 1
         if cut:
             st, _ = truncate_bonds(st, D_max)
-        grams, residual = _rescaled_grams(st)
+        plan, grams, residual = _planned_grams(st)
     converged = residual <= so_tol
-    if residual > SO_WARN_RESIDUAL:
+    if not residual <= SO_WARN_RESIDUAL:
         warnings.warn(
             f"superorthogonalization stalled at residual {residual:.2e}",
             RuntimeWarning,

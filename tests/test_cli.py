@@ -292,6 +292,17 @@ class TestSweep:
         assert code == EXIT_USAGE
         assert not (tmp_path / "fixed_sweep.csv").exists()
 
+    def test_values_that_share_a_tag_usage_error(self, tmp_path):
+        # 0.2 and 0.2000001 both print as 0.2 under :g, so their points
+        # would write the same files
+        code = main([
+            "sweep", "--model", "tfim2d", "--D", "2", "--tau_max", "0.6",
+            "--outdir", str(tmp_path), "--tag", "clash",
+            "--param", "J", "--values", "0.2,0.2000001",
+        ])
+        assert code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_point_becomes_nan_row(self, tmp_path):
         # dtau 40 exceeds the default tau_max 32: the point is a usage error
         code = main([

@@ -105,30 +105,34 @@ def checkerboard_state(D, seed):
 
 
 def identity_messages(st):
-    """The identity environment on every bond end, in bond order."""
-    return {end: np.eye(st.lams[lam_key(st, *end)].size)
-            for b in bond_list(st)
-            for end in ((b.i_site, b.i_leg), (b.j_site, b.j_leg))}
+    """The identity environment on both ends of every bond, as one
+    (2, D, D) stack per bond, in bond order."""
+    return [np.stack([np.eye(st.lams[b.key].size)] * 2) for b in bond_list(st)]
 
 
 def dressed_gram(t, leg, closures):
     """Bond environment of ``leg`` of ``t`` with each other leg closed by
-    its ket-bra matrix, from the package's closing and pairing kernels,
-    hermitized."""
-    n = ipeps._leg_pair(t.conj(), ipeps._close_legs(t, closures), leg)
+    its ket-bra matrix (the package's per-leg closure), paired with the
+    bra over every other axis, hermitized."""
+    ket = t
+    for l, c in closures.items():
+        ket = ipeps._apply_on_leg(ket, l, c)
+    rest = [list(range(1, t.ndim))] * 2
+    n = np.tensordot(np.moveaxis(t, leg, 0).conj(), np.moveaxis(ket, leg, 0), rest)
     return 0.5 * (n + n.conj().T)
 
 
 def plain_messages(st, tol, max_sweeps=2000):
     """Reference message fixed point: plain Gauss-Seidel sweeps over the
     bond ends in bond order from identity messages, each end closed leg by
-    leg with ``dressed_gram``.  Returns the messages and the sweep count,
-    which is ``max_sweeps`` if the largest change never fell to ``tol``."""
+    leg with ``dressed_gram``.  Returns the messages, as one (2, D, D)
+    stack per bond in bond order, and the sweep count, which is
+    ``max_sweeps`` if the largest change never fell to ``tol``."""
     opposite = {}
     for b in bond_list(st):
         opposite[(b.i_site, b.i_leg)] = (b.j_site, b.j_leg)
         opposite[(b.j_site, b.j_leg)] = (b.i_site, b.i_leg)
-    out = identity_messages(st)
+    out = {end: np.eye(st.lams[lam_key(st, *end)].size) for end in opposite}
     for sweeps in range(1, max_sweeps + 1):
         delta = 0.0
         for site, leg in out:
@@ -143,7 +147,20 @@ def plain_messages(st, tol, max_sweeps=2000):
             out[(site, leg)] = fresh
         if delta <= tol:
             break
-    return out, sweeps
+    return [np.stack((out[(b.i_site, b.i_leg)], out[(b.j_site, b.j_leg)]))
+            for b in bond_list(st)], sweeps
+
+
+def per_end(st, stacks):
+    """Per bond end (site, leg), its entry of the per-bond stacks."""
+    return {end: m[k] for b, m in zip(bond_list(st), stacks)
+            for k, end in enumerate(((b.i_site, b.i_leg), (b.j_site, b.j_leg)))}
+
+
+def max_diff(got, ref):
+    """Largest entry-wise difference of two lists of per-bond stacks."""
+    assert [g.shape for g in got] == [r.shape for r in ref]
+    return max(float(np.max(np.abs(g - r))) for g, r in zip(got, ref))
 
 
 def shared_sweep_madds(st):
@@ -167,6 +184,18 @@ KERNEL_CASES = pytest.mark.parametrize(
     [((2, 6, 6, 4, 4), float), ((2, 3, 3, 2, 2, 2, 2), float),
      ((2, 3, 3, 5, 5), complex)],
     ids=["2d-enlarged", "3d", "complex"],
+)
+
+
+# a 2D single-site state with an MPO-enlarged axis, a 3D single-site
+# state, a 2D checkerboard state, a complex 2D state
+MESSAGE_STATES = pytest.mark.parametrize(
+    "make",
+    [lambda: kernel_state((2, 6, 6, 4, 4), 0, float),
+     lambda: kernel_state((2, 3, 3, 2, 2, 2, 2), 0, float),
+     lambda: checkerboard_state(3, 1),
+     lambda: kernel_state((2, 3, 3, 5, 5), 0, complex)],
+    ids=["2d-enlarged", "3d", "checkerboard", "complex"],
 )
 
 
@@ -202,41 +231,38 @@ class TestLegKernels:
             before = work_count()
             got = dressed_gram(t, leg, closures)
             n_sum = sum(t.shape[l] for l in closures)
-            assert work_count() - before == t.size * n_sum + t.size * t.shape[leg]
+            assert work_count() - before == t.size * n_sum
             assert rel_err(got, brute_dressed_gram(t, leg, closures)) <= 1e-12
 
-    @KERNEL_CASES
-    def test_all_grams_match_per_leg_gram(self, shape, dtype):
-        st = kernel_state(shape, 9, dtype)
-        t = st.tensors[0]
+    @MESSAGE_STATES
+    def test_all_grams_match_per_leg_gram(self, make):
+        # the weight-squared environments: one Jacobi pass from identity
+        # messages, counted as one sweep
+        st = make()
+        plan = ipeps._plan_pass(st)
         before = work_count()
-        got = ipeps._all_grams(st)
-        ends = [e for b in bond_list(st)
-                for e in ((b.i_site, b.i_leg), (b.j_site, b.j_leg))]
-        assert list(got) == ends
-        madds = sum(t.size * t.shape[leg] for _, leg in ends)
-        assert work_count() - before == madds
-        for end in ends:
-            leg = end[1]
+        got = ipeps._grams(plan)
+        assert work_count() - before == shared_sweep_madds(st)
+        assert len(got) == len(bond_list(st))
+        for (site, leg), n in per_end(st, got).items():
+            t = st.tensors[site]
             # the weight-squared closure of every other leg
             closures = {
-                l: np.diag(st.lams[lam_key(st, 0, l)] ** 2)
+                l: np.diag(st.lams[lam_key(st, site, l)] ** 2)
                 for l in range(1, t.ndim) if l != leg
             }
             ref = brute_dressed_gram(t, leg, closures)
-            assert rel_err(got[end], ref) <= 1e-12
+            assert rel_err(n, ref) <= 1e-12
 
 
-# a 2D single-site state with an MPO-enlarged axis, a 3D single-site
-# state, a 2D checkerboard state, a complex 2D state
-MESSAGE_STATES = pytest.mark.parametrize(
-    "make",
-    [lambda: kernel_state((2, 6, 6, 4, 4), 0, float),
-     lambda: kernel_state((2, 3, 3, 2, 2, 2, 2), 0, float),
-     lambda: checkerboard_state(3, 1),
-     lambda: kernel_state((2, 3, 3, 5, 5), 0, complex)],
-    ids=["2d-enlarged", "3d", "checkerboard", "complex"],
-)
+def solve(st, tol, start):
+    """The message fixed point of ``st`` on a pass planned for it."""
+    return ipeps._message_fixed_point(ipeps._plan_pass(st), tol, start)
+
+
+def grams(st):
+    """The weight-squared environments of ``st``, per bond a stack."""
+    return ipeps._grams(ipeps._plan_pass(st))
 
 
 class TestMessageFixedPoint:
@@ -245,12 +271,10 @@ class TestMessageFixedPoint:
     @MESSAGE_STATES
     def test_matches_plain_gauss_seidel(self, make):
         st = make()
-        got, sweeps = ipeps._message_fixed_point(st, 1e-12, identity_messages(st))
+        got, sweeps = solve(st, 1e-12, identity_messages(st))
         ref, plain = plain_messages(st, tol=1e-12)
         assert plain < 2000
-        assert list(got) == list(ref)
-        for end in ref:
-            assert np.max(np.abs(got[end] - ref[end])) <= 1e-8
+        assert max_diff(got, ref) <= 1e-8
         assert 1 < sweeps < ipeps.MESSAGE_MAX_SWEEPS
 
     @MESSAGE_STATES
@@ -260,21 +284,21 @@ class TestMessageFixedPoint:
         st = make()
         monkeypatch.setattr(ipeps, "MESSAGE_MAX_SWEEPS", 2)
         with pytest.warns(RuntimeWarning, match="message fixed point unconverged"):
-            got, _ = ipeps._message_fixed_point(st, 1e-12, identity_messages(st))
+            got, _ = solve(st, 1e-12, identity_messages(st))
         ref, _ = plain_messages(st, tol=1e-12, max_sweeps=2)
-        for end in ref:
-            assert rel_err(got[end], ref[end]) <= 1e-12
+        for g, r in zip(got, ref):
+            assert rel_err(g, r) <= 1e-12
 
     @pytest.mark.parametrize("scale", [np.nan, -1.0], ids=["nan", "negative-trace"])
     def test_unusable_mix_falls_back_to_plain(self, scale, monkeypatch):
         # every mix rejected: the iteration is plain Gauss-Seidel throughout
         st = kernel_state((2, 3, 3, 2, 2, 2, 2), 0, float)
         monkeypatch.setattr(ipeps, "_anderson_mix", lambda fs, gs: scale * gs[-1])
-        got, sweeps = ipeps._message_fixed_point(st, 1e-12, identity_messages(st))
+        got, sweeps = solve(st, 1e-12, identity_messages(st))
         ref, plain = plain_messages(st, tol=1e-12)
         assert sweeps == plain
-        for end in ref:
-            assert rel_err(got[end], ref[end]) <= 1e-12
+        for g, r in zip(got, ref):
+            assert rel_err(g, r) <= 1e-12
 
     def test_stays_on_the_plain_fixed_point(self, monkeypatch):
         # the gauge fix at the second step of a 3D J=0.15 run from seed
@@ -298,31 +322,27 @@ class TestMessageFixedPoint:
         for a in (0, 1, 2, 0, 1, 2):
             st, _ = apply_axis_mpo(st, mpos[a], a, 3)
         st = inputs[5]
-        got, sweeps = ipeps._message_fixed_point(st, 1e-12, identity_messages(st))
+        got, sweeps = solve(st, 1e-12, identity_messages(st))
         ref, plain = plain_messages(st, tol=1e-12)
         assert sweeps < plain < 2000
-        for end in ref:
-            assert np.max(np.abs(got[end] - ref[end])) <= 1e-8
+        assert max_diff(got, ref) <= 1e-8
         # the gauge fix's own start, the weight-squared environments, too
-        got, _ = ipeps._message_fixed_point(st, 1e-12, ipeps._all_grams(st))
-        for end in ref:
-            assert np.max(np.abs(got[end] - ref[end])) <= 1e-8
+        got, _ = solve(st, 1e-12, grams(st))
+        assert max_diff(got, ref) <= 1e-8
 
     @MESSAGE_STATES
     def test_start_from_grams_reaches_same_messages(self, make):
         # the gauge fix starts each solve from the weight-squared bond
         # environments; the fixed point must be the one identity reaches
         st = make()
-        ref, _ = ipeps._message_fixed_point(st, 1e-12, identity_messages(st))
-        got, sweeps = ipeps._message_fixed_point(st, 1e-12, ipeps._all_grams(st))
-        assert list(got) == list(ref)
-        for end in ref:
-            assert np.max(np.abs(got[end] - ref[end])) <= 1e-8
+        ref, _ = solve(st, 1e-12, identity_messages(st))
+        got, sweeps = solve(st, 1e-12, grams(st))
+        assert max_diff(got, ref) <= 1e-8
         assert 1 < sweeps < ipeps.MESSAGE_MAX_SWEEPS
 
     def test_fewer_sweeps_than_plain(self):
         st = kernel_state((2, 3, 3, 2, 2, 2, 2), 0, float)
-        _, sweeps = ipeps._message_fixed_point(st, 1e-12, identity_messages(st))
+        _, sweeps = solve(st, 1e-12, identity_messages(st))
         _, plain = plain_messages(st, tol=1e-12)
         assert sweeps < plain
 
@@ -336,11 +356,11 @@ class TestMessageFixedPoint:
         # a start message with trace <= 0 cannot be normalized; the solve
         # reports it as the sweep does, not as a failure of its own code
         st = make()
-        start = ipeps._all_grams(st)
-        end = list(start)[1]
-        start[end] = scale * start[end]
+        start = grams(st)
+        # the - end of the first bond
+        start[0] = start[0] * np.array([1.0, scale])[:, None, None]
         with pytest.raises(RuntimeError, match="bond environment collapsed to zero"):
-            ipeps._message_fixed_point(st, 1e-10, start)
+            solve(st, 1e-10, start)
 
     @KERNEL_CASES
     def test_uniform_state_same_on_both_cells(self, shape, dtype):
@@ -351,11 +371,11 @@ class TestMessageFixedPoint:
         two = ipeps.IPepsState(
             [one.tensors[0], one.tensors[0].copy()],
             {(a, s): one.lams[(a, 0)] for a in range(one.dimension) for s in (0, 1)})
-        ref, _ = ipeps._message_fixed_point(one, 1e-12, identity_messages(one))
-        got, _ = ipeps._message_fixed_point(two, 1e-12, identity_messages(two))
+        ref, _ = solve(one, 1e-12, identity_messages(one))
+        got, _ = solve(two, 1e-12, identity_messages(two))
         assert len(got) == 2 * len(ref)
-        for (site, leg), m in got.items():
-            assert np.max(np.abs(m - ref[(0, leg)])) <= 1e-8
+        for b, m in zip(bond_list(two), got):
+            assert np.max(np.abs(m - ref[b.axis])) <= 1e-8
 
     @MESSAGE_STATES
     def test_one_sweep_madds(self, make, monkeypatch):
@@ -363,7 +383,7 @@ class TestMessageFixedPoint:
         monkeypatch.setattr(ipeps, "MESSAGE_MAX_SWEEPS", 1)
         before = work_count()
         with pytest.warns(RuntimeWarning, match="message fixed point unconverged"):
-            _, sweeps = ipeps._message_fixed_point(st, 1e-12, identity_messages(st))
+            _, sweeps = solve(st, 1e-12, identity_messages(st))
         assert sweeps == 1
         assert work_count() - before == shared_sweep_madds(st)
 
@@ -522,9 +542,9 @@ class TestSuperorthogonalize:
         counts = []
         inner = ipeps._message_fixed_point
 
-        def counted(st, tol, start):
+        def counted(plan, tol, start):
             # loose messages leave a residual that takes further passes
-            msgs, sweeps = inner(st, 1e-4, start)
+            msgs, sweeps = inner(plan, 1e-4, start)
             counts.append(sweeps)
             return msgs, sweeps
 
@@ -536,20 +556,54 @@ class TestSuperorthogonalize:
     def test_at_most_two_passes(self, monkeypatch):
         inner = ipeps._message_fixed_point
 
-        def loose(st, tol, start):
+        def loose(plan, tol, start):
             # loose messages leave a residual that further passes would cut
-            return inner(st, 1e-4, start)
+            return inner(plan, 1e-4, start)
 
         monkeypatch.setattr(ipeps, "_message_fixed_point", loose)
         _, info = superorthogonalize(random_d2_state(0), so_tol=1e-10)
         assert info.iterations == ipeps.SO_MAX_PASSES == 2
 
+    def test_one_plan_per_gram_evaluation(self, monkeypatch):
+        # the pass is planned on entry and after every gauge-fix pass, and
+        # each solve runs on the plan of the state it starts from
+        plans, solved_on = [], []
+        inner_plan, inner_solve = ipeps._plan_pass, ipeps._message_fixed_point
+
+        def counted(st):
+            plans.append(inner_plan(st))
+            return plans[-1]
+
+        def loose(plan, tol, start):
+            # loose messages leave a residual that a second pass would cut
+            solved_on.append(plan)
+            return inner_solve(plan, 1e-4, start)
+
+        monkeypatch.setattr(ipeps, "_plan_pass", counted)
+        monkeypatch.setattr(ipeps, "_message_fixed_point", loose)
+        _, info = superorthogonalize(random_d2_state(0), so_tol=1e-10)
+        assert info.iterations == 2
+        assert len(plans) == info.iterations + 1
+        assert len(solved_on) == 2
+        assert all(a is b for a, b in zip(solved_on, plans))
+
+    def test_nan_state_raises(self):
+        # one NaN entry: the residual reads NaN, the gauge fix and the
+        # solve raise instead of reading the state converged
+        st = kernel_state((2, 3, 3, 3, 3), 0, float)
+        st.tensors[0][0, 1, 2, 0, 1] = np.nan
+        assert np.isnan(superorthogonality_residual(st))
+        with pytest.raises(RuntimeError, match="not finite"):
+            superorthogonalize(st)
+        with pytest.raises(RuntimeError, match="not finite"):
+            solve(st, 1e-10, grams(st))
+
     def test_stall_warns(self, monkeypatch):
         inner = ipeps._message_fixed_point
 
-        def loose(st, tol, start):
+        def loose(plan, tol, start):
             # one pass on messages this loose leaves the gauge far off
-            return inner(st, 1e-1, start)
+            return inner(plan, 1e-1, start)
 
         monkeypatch.setattr(ipeps, "_message_fixed_point", loose)
         with pytest.warns(RuntimeWarning, match="stalled") as record:
@@ -578,7 +632,7 @@ class TestSuperorthogonalize:
         monkeypatch.setattr(ipeps, "MESSAGE_MAX_SWEEPS", 1)
         with pytest.warns(RuntimeWarning, match="message fixed point unconverged"):
             st = random_d2_state(1)
-            ipeps._message_fixed_point(st, 1e-10, identity_messages(st))
+            solve(st, 1e-10, identity_messages(st))
 
     def test_gauge_scramble_and_restore(self):
         base, _ = superorthogonalize(random_d2_state(2), so_tol=1e-12)
@@ -684,19 +738,28 @@ class TestAxisMpo:
         solves, mixes = [], []
         inner_solve, inner_mix = ipeps._message_fixed_point, ipeps._anderson_mix
 
-        def recorded(st, tol, start):
-            solves.append((st.max_bond(), tol))
-            return inner_solve(st, tol, start)
+        def recorded(plan, tol, start):
+            solves.append((max(w.size for w in plan.lams), tol))
+            return inner_solve(plan, tol, start)
 
         def recorded_mix(fs, gs):
             mixes.append(solves[-1][0])
             return inner_mix(fs, gs)
 
+        def counted_plan(st):
+            plans.append(st.max_bond())
+            return inner_plan(st)
+
+        plans = []
+        inner_plan = ipeps._plan_pass
         monkeypatch.setattr(ipeps, "_message_fixed_point", recorded)
         monkeypatch.setattr(ipeps, "_anderson_mix", recorded_mix)
+        monkeypatch.setattr(ipeps, "_plan_pass", counted_plan)
         out, info = apply_axis_mpo(st, w, 0, 4)
         assert solves == [(4 * w.virtual_dim, ipeps.MESSAGE_ANDERSON_START),
                           (4, ipeps.SO_TOL)]
+        # one plan per state: the enlarged one, the cut one, the polished one
+        assert plans == [4 * w.virtual_dim, 4, 4]
         assert all(width <= 4 for width in mixes)
         assert info.iterations == 2 and info.converged
         assert out.max_bond() == 4
