@@ -195,6 +195,9 @@ def run(cfg: RunConfig) -> int:
         "derivative_std": est.derivative_std,
         "derivative_fluctuation": est.derivative_fluctuation,
         "n_samples": len(trace),
+        # 1: the run ended before SPIKE_HALFWIDTH + 1 samples followed the window
+        "window_open": (int(np.sum(trace.taus > est.window[1]) <= estimator.SPIKE_HALFWIDTH)
+                        if est.window else float("nan")),
         "wall_time_s": wall,
     }
     for f in fields(RunConfig):

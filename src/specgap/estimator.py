@@ -10,10 +10,13 @@ band of ``WINDOW_REL_TOL``, whatever scheme produced it.
 from __future__ import annotations
 
 import bisect
+import math
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 QUALITY_CLEAN = "clean"
 QUALITY_NOISY = "noisy"
@@ -52,6 +55,12 @@ class GapTrace:
         return self.taus.size
 
 
+def planned_steps(dtau: float, tau_max: float) -> int:
+    """Steps of a run: the largest k with k * dtau <= tau_max, where a
+    quotient within 1e-9 below an integer counts as that integer."""
+    return math.floor(tau_max / dtau + 1e-9)
+
+
 def record_trace(
     state,
     advance: Callable,
@@ -61,14 +70,27 @@ def record_trace(
 ) -> GapTrace:
     """Evolve ``state`` and sample C(tau) = ln|measure(state)| into a trace.
 
-    Step k >= 1 is ``state = advance(state)`` and reaches tau = k * dtau;
-    every step is measured, step 0 included.  Zero and non-finite values
-    are skipped (a trace gap).  Stops at tau_max or once C has dropped by
-    ln(1e-14) below its first sample.
+    Step k >= 1 is ``state = advance(state)`` and reaches tau = k * dtau,
+    for k up to ``planned_steps(dtau, tau_max)``; every step is measured,
+    step 0 included.  Zero and non-finite values are skipped (a trace
+    gap).  The run stops early in two cases:
+
+    - C has dropped by ln(1e-14) below its first sample (underflow);
+    - the fit is final: no later sample can change what ``estimate_gap``
+      reads off the samples so far.  That holds once the prefix's own
+      detection finds a window that (i) has at least ``SPIKE_HALFWIDTH + 1``
+      samples after it, so every spike decision and central difference in
+      it is fixed, and whose run closed on such a fixed sample, and (ii)
+      cannot be replaced: no greedy run that may still grow could outgrow
+      it even if every step left before tau_max joined it.  Only the
+      transient cut (the first tenth of the derivative samples) moves with
+      the trace's length, and with it, rarely, the window's start.
     """
+    steps = planned_steps(dtau, tau_max)
+    fit_is_final = _StopRule()
     taus, cs = [], []
     c_start = None
-    for step in range(int(round(tau_max / dtau)) + 1):
+    for step in range(steps + 1):
         if step > 0:
             state = advance(state)
         val = measure(state)
@@ -80,6 +102,8 @@ def record_trace(
                 c_start = c
             elif c - c_start < np.log(1e-14):
                 break
+        if fit_is_final(taus, cs, steps - step):
+            break
     return GapTrace(np.array(taus), np.array(cs))
 
 
@@ -106,11 +130,13 @@ def drop_spikes(trace: GapTrace) -> GapTrace:
     n = len(trace)
     if n < 3:
         return trace
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        lo, hi = max(0, i - SPIKE_HALFWIDTH), min(n, i + SPIKE_HALFWIDTH + 1)
-        if trace.cs[i] < np.median(trace.cs[lo:hi]) - SPIKE_DEPTH:
-            keep[i] = False
+    h = SPIKE_HALFWIDTH
+    med = np.empty(n)
+    if n > 2 * h:  # the samples whose neighbourhood is whole
+        med[h:n - h] = np.median(sliding_window_view(trace.cs, 2 * h + 1), axis=1)
+    for i in [*range(min(h, n)), *range(max(h, n - h), n)]:
+        med[i] = np.median(trace.cs[max(0, i - h):i + h + 1])
+    keep = ~(trace.cs < med - SPIKE_DEPTH)
     if np.all(keep):
         return trace
     return GapTrace(trace.taus[keep], trace.cs[keep])
@@ -128,26 +154,21 @@ def numerical_derivative(trace: GapTrace) -> tuple[np.ndarray, np.ndarray]:
     t, c = trace.taus, trace.cs
     steps = np.diff(t)
     regular = steps <= 1.5 * np.median(steps)
-    taus_d, vals = [], []
-    for i in range(n):
-        if 0 < i < n - 1 and regular[i - 1] and regular[i]:
-            d = (c[i + 1] - c[i - 1]) / (t[i + 1] - t[i - 1])
-        elif i == 0 and regular[0]:
-            d = (c[1] - c[0]) / (t[1] - t[0])
-        elif i == n - 1 and regular[n - 2]:
-            d = (c[n - 1] - c[n - 2]) / (t[n - 1] - t[n - 2])
-        else:
-            continue
-        taus_d.append(t[i])
-        vals.append(d)
-    return np.array(taus_d), np.array(vals)
+    d = np.empty(n)
+    d[1:-1] = (c[2:] - c[:-2]) / (t[2:] - t[:-2])
+    d[0] = (c[1] - c[0]) / (t[1] - t[0])
+    d[-1] = (c[-1] - c[-2]) / (t[-1] - t[-2])
+    keep = np.empty(n, dtype=bool)
+    keep[1:-1] = regular[:-1] & regular[1:]
+    keep[0], keep[-1] = regular[0], regular[-1]
+    return t[keep], d[keep]
 
 
 class _RunningMedian:
     """Sorted-insert container with O(1) median/min/max reads."""
 
-    def __init__(self):
-        self._sorted: list[float] = []
+    def __init__(self, values=()):
+        self._sorted: list[float] = sorted(values)
 
     def add(self, x: float) -> None:
         bisect.insort(self._sorted, x)
@@ -164,6 +185,129 @@ class _RunningMedian:
         return (self._sorted[-1] - med) <= band and (med - self._sorted[0]) <= band
 
 
+# Bounds on a greedy run from its samples' range alone.  Samples inside the
+# band share one sign, and their smallest magnitude is at least
+# 1 - 2 * WINDOW_REL_TOL of their largest; samples whose largest magnitude
+# is within 1 + WINDOW_REL_TOL of their smallest are inside the band at
+# every length.  The 1e-9 keeps both safe from rounding.  They only decide
+# which runs must be grown sample by sample, never a run's length.
+_RATIO_MAY_FIT = 1.0 - 2.0 * WINDOW_REL_TOL * (1.0 + 1e-9)
+_RATIO_FITS = 1.0 / (1.0 + WINDOW_REL_TOL * (1.0 - 1e-9))
+
+
+class _Frontier:
+    """For a stream of samples, the earliest start of the stretch ending at
+    each sample whose magnitudes share one sign and keep min >= ratio * max.
+
+    Every part of such a stretch is one too, so the start only moves
+    forward: two monotone queues give it in amortized O(1) per sample.
+    ``starts[e]`` is the start for the stretch ending at sample e.
+    """
+
+    def __init__(self, ratio: float):
+        self.ratio = ratio
+        self.starts: list[int] = []
+        self._start = 0
+        self._sign = None
+        self._mags: list[float] = []
+        self._low: deque[int] = deque()   # indices of increasing magnitude
+        self._high: deque[int] = deque()  # indices of decreasing magnitude
+
+    def push(self, x: float) -> None:
+        mags, low, high = self._mags, self._low, self._high
+        e = len(mags)
+        mag = abs(x)
+        mags.append(mag)
+        sign = (x > 0) - (x < 0)
+        if sign != self._sign:
+            self._sign, self._start = sign, e
+            low.clear()
+            high.clear()
+        while low and mags[low[-1]] >= mag:
+            low.pop()
+        low.append(e)
+        while high and mags[high[-1]] <= mag:
+            high.pop()
+        high.append(e)
+        while mags[low[0]] < self.ratio * mags[high[0]]:
+            # every start up to the older extreme keeps both extremes
+            self._start = min(low[0], high[0]) + 1
+            while low[0] < self._start:
+                low.popleft()
+            while high[0] < self._start:
+                high.popleft()
+        self.starts.append(self._start)
+
+
+class _Runs:
+    """Derivative samples with what bounds each greedy run of
+    ``detect_linear_window`` before it is grown."""
+
+    def __init__(self, values=()):
+        self.values: list[float] = list(values)
+        self._may_fit = _Frontier(_RATIO_MAY_FIT)
+        self._fits = _Frontier(_RATIO_FITS)
+        self._window = (0, 0, [])  # (i, j, sorted values[i:j]) of the last run
+
+    def _sorted_values(self, i: int, j: int) -> list[float]:
+        """Sorted values[i:j], slid from the last run's when that moves
+        fewer samples than it keeps."""
+        lo, hi, window = self._window
+        if lo <= i < hi <= j and (i - lo) + (j - hi) < hi - i:
+            for x in self.values[lo:i]:
+                del window[bisect.bisect_left(window, x)]
+            for x in self.values[hi:j]:
+                bisect.insort(window, x)
+        else:
+            window = sorted(self.values[i:j])
+        self._window = (i, j, window)
+        return window
+
+    def grow(self, i: int, need: int, stop: int):
+        """The greedy run from sample ``i`` over the samples before
+        ``stop``: (end, run), where end is the first sample that breaks the
+        band (``stop`` if none does) and run holds the run's samples.
+        (None, None) when the run must break before ``stop`` and holds
+        fewer than ``need`` samples."""
+        # the frontiers take the samples when a run first reads them
+        for x in self.values[len(self._fits.starts):stop]:
+            self._may_fit.push(x)
+            self._fits.push(x)
+        # samples i..cap cannot all lie in the band
+        cap = bisect.bisect_right(self._may_fit.starts, i)
+        if cap < stop and cap - i < need:
+            return None, None
+        # every run from i that ends before j lies in the band
+        j = min(bisect.bisect_right(self._fits.starts, i), stop)
+        run = _RunningMedian(self._sorted_values(i, j))
+        while j < stop:
+            run.add(self.values[j])
+            if not run.within_band():
+                break
+            j += 1
+        return j, run
+
+
+def _need(best: tuple[int, int] | None) -> int:
+    """Length a run needs to become the window."""
+    return MIN_WINDOW_POINTS if best is None else best[1] - best[0] + 1
+
+
+def _best_run(runs: _Runs, first: int, last: int, stop: int) -> tuple[int, int] | None:
+    """The first longest greedy run, of at least ``MIN_WINDOW_POINTS``
+    samples, from the starts first..last - 1 over the samples before
+    ``stop``."""
+    best = None
+    for i in range(first, last):
+        need = _need(best)
+        if stop - i < need:
+            break
+        j, _ = runs.grow(i, need, stop)
+        if j is not None and j - i >= need:
+            best = (i, j)
+    return best
+
+
 def detect_linear_window(
     deriv: np.ndarray,
 ) -> tuple[tuple[int, int] | None, str]:
@@ -174,26 +318,14 @@ def detect_linear_window(
     The first 10% of samples are discarded as transient.  Runs are grown
     greedily from each start; growth stops at the first sample that breaks
     the band (deterministic and auditable rather than globally maximal).
+    A run whose samples' range shows it cannot outgrow the best so far is
+    skipped, and a run skips the checks its range already settles; the
+    result is that of growing every run sample by sample.
     Returns (index window [i0, i1), quality flag).
     """
     n = len(deriv)
     start = n // 10
-    best: tuple[int, int] | None = None
-    i = start
-    while i < n:
-        if best is not None and n - i <= best[1] - best[0]:
-            break
-        run = _RunningMedian()
-        j = i
-        while j < n:
-            run.add(float(deriv[j]))
-            if not run.within_band():
-                break
-            j += 1
-        length = j - i
-        if length >= MIN_WINDOW_POINTS and (best is None or length > best[1] - best[0]):
-            best = (i, j)
-        i += 1
+    best = _best_run(_Runs(deriv.tolist()), start, n, n)
 
     if best is not None:
         flag = QUALITY_CLEAN
@@ -216,6 +348,126 @@ def _monotone_drop(deriv: np.ndarray) -> float:
     if np.any(steps > 0.01 * mag[:-1]):
         return 0.0
     return float((mag[0] - mag[-1]) / mag[0])
+
+
+class _StopRule:
+    """Whether later samples can still change the fit of a growing trace
+    (``record_trace`` states the rule).
+
+    As samples arrive it keeps what no later sample changes: the spike
+    decisions with ``SPIKE_HALFWIDTH`` samples after them and the
+    derivative samples with ``SPIKE_HALFWIDTH + 1``.  Over those it runs
+    ``detect_linear_window``'s greedy runs lazily: every start before
+    ``open`` is known to close on a fixed sample, and the run from ``open``
+    may still grow.  Each call is amortized O(1), except when the moving
+    transient cut passes the window's start.  A stop is confirmed against
+    ``drop_spikes`` and ``numerical_derivative`` on the prefix.  They can
+    disagree while a spike is not yet decided (the cut counts every
+    undecided sample) or when trace gaps move the spacing median; the next
+    confirm then waits for twice as many new samples as the last.
+    """
+
+    def __init__(self):
+        self.keep: list[bool] = []  # fixed spike decisions
+        self.next_sample = 0        # next sample whose derivative becomes fixed
+        self.last_kept = None       # the last kept sample before it
+        self.spacing = _RunningMedian()  # tau spacings of the trace so far
+        self.spaced = 1             # samples whose spacing before them is in it
+        self.runs = _Runs()         # the fixed derivative samples
+        self.sample_of: list[int] = []  # trace index of each
+        self.best: tuple[int, int] | None = None
+        self.open = 0
+        self.run: _RunningMedian | None = None
+        self.cut = 0
+        self.confirm_at = 0  # trace length before which no confirm runs
+        self.wait = SPIKE_HALFWIDTH + 1
+
+    def __call__(self, taus: list, cs: list, steps_left: int) -> bool:
+        n = len(taus)
+        h = SPIKE_HALFWIDTH
+        # A window holds fewer than the n - h - 1 fixed derivative samples,
+        # and the run from ``open`` reaches back over at least h + 1
+        # samples, so no stop can come before n >= steps_left + 2h + 2;
+        # until then the samples wait.
+        if n < steps_left + 2 * h + 2:
+            return False
+        while self.spaced < n:
+            self.spacing.add(taus[self.spaced] - taus[self.spaced - 1])
+            self.spaced += 1
+        while len(self.keep) + h < n:
+            q = len(self.keep)
+            med = _RunningMedian(cs[max(0, q - h):q + h + 1]).median
+            self.keep.append(not cs[q] < med - SPIKE_DEPTH)
+        while self.next_sample + h + 1 < n:
+            self._fix_derivative(taus, cs)
+        f = len(self.sample_of)
+        if f == 0:
+            return False
+        # the unfixed samples are taken to give derivative samples too
+        self.cut = (f + n - 1 - self.sample_of[-1]) // 10
+        if self.best is not None and self.best[0] < self.cut:
+            # the closed runs from the starts the cut keeps
+            self.best = _best_run(self.runs, self.cut, self.open, f)
+        if self.open < self.cut:
+            self.open, self.run = self.cut, None
+        while True:
+            if self.best is not None:
+                first = self.sample_of[self.open] if self.open < f else self.sample_of[-1] + 1
+                if n - first + steps_left <= self.best[1] - self.best[0]:
+                    return n >= self.confirm_at and self._confirm(taus, cs)
+            if self.run is not None or self.open >= f:
+                return False
+            j, run = self.runs.grow(self.open, _need(self.best), f)
+            if j == f:
+                self.run = run
+            else:
+                self._close(j)
+
+    def _fix_derivative(self, taus, cs) -> None:
+        """The derivative at sample r, as ``numerical_derivative`` takes
+        it, with the spacing median of the trace so far."""
+        r = self.next_sample
+        self.next_sample += 1
+        if not self.keep[r]:
+            return
+        prev, self.last_kept = self.last_kept, r
+        # a dropped sample r + 1 leaves a trace gap after r
+        if not self.keep[r + 1]:
+            return
+        limit = 1.5 * self.spacing.median
+        if taus[r + 1] - taus[r] > limit:
+            return
+        if prev is None:
+            d = (cs[r + 1] - cs[r]) / (taus[r + 1] - taus[r])
+        elif taus[r] - taus[prev] <= limit:
+            d = (cs[r + 1] - cs[prev]) / (taus[r + 1] - taus[prev])
+        else:
+            return
+        self.runs.values.append(d)
+        self.sample_of.append(r)
+        if self.run is not None:
+            self.run.add(d)
+            if not self.run.within_band():
+                self._close(len(self.sample_of) - 1)
+
+    def _close(self, end: int | None) -> None:
+        """The run from ``open`` broke at fixed sample ``end`` (None: too
+        short to matter)."""
+        if end is not None and end - self.open >= _need(self.best):
+            self.best = (self.open, end)
+        self.open += 1
+        self.run = None
+
+    def _confirm(self, taus, cs) -> bool:
+        taus_d, deriv = numerical_derivative(drop_spikes(GapTrace(taus, cs)))
+        f = len(self.sample_of)
+        if (len(deriv) // 10 == self.cut
+                and np.array_equal(deriv[:f], self.runs.values)
+                and np.array_equal(taus_d[:f], [taus[r] for r in self.sample_of])):
+            return True
+        self.confirm_at = len(taus) + self.wait
+        self.wait *= 2
+        return False
 
 
 def estimate_gap(

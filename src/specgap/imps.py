@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .estimator import GapTrace, record_trace
+from .estimator import GapTrace, planned_steps, record_trace
 from .models import Model, OperatorTerms, bond_hamiltonian, split_hamiltonian
 from .tensor import (SVD_CUT, add_work, einsum2, pinv_weights, psd_factor,
                      truncated_svd, warn_below_floor, warn_imaginary)
@@ -322,7 +322,7 @@ def run_evolution_1d(
     seed: int | None = None,
 ) -> GapTrace:
     """Second-order Trotter TEBD recording C(tau) = ln|<i[H,O]>| per cell
-    (see ``record_trace`` for sampling and the underflow stop)."""
+    (see ``record_trace`` for sampling and the stop rules)."""
     if seed is None:
         seed = schedule.seed
     comm = model.commutator()
@@ -343,6 +343,6 @@ def final_state_1d(
     if seed is None:
         seed = schedule.seed
     state, advance = _setup_1d(model, schedule, D_max, seed)
-    for _ in range(int(round(schedule.tau_max / schedule.dtau))):
+    for _ in range(planned_steps(schedule.dtau, schedule.tau_max)):
         state = advance(state)
     return state

@@ -51,15 +51,27 @@ def test_benchmark_bindings_hold(tmp_path):
                                 tag="tfim1d_tebd"))
 
     tr, probe = tracer.Tracer(), run.Probe()
+    fits = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            fits.append(args[0])
+            return fn(*args, **kwargs)
+        return wrapper
+
     w0 = tensor.work_count()
-    with tracer.patched(tr.factories()), tracer.patched(probe.factories()):
+    with tracer.patched(tr.factories()), tracer.patched(probe.factories()), \
+            tracer.patched({"estimator.estimate_gap": counted}):
         for cfg in cfgs:
             probe.reset()
+            fits.clear()
             # looked up under the wrappers, as run.run_pass does
             runner = workloads.run_chain if cfg.model == "tfim1d" else cli.run
             runner(cfg)
             assert probe.step_times, cfg.tag
             assert probe.trace is not None and len(probe.trace) > 0, cfg.tag
+            # one fit per point, so the probe's t_fit and trace are the final fit's
+            assert len(fits) == 1 and fits[0] is probe.trace, cfg.tag
     madds = tensor.work_count() - w0
     assert madds > 0
     assert tr.total_madds() == madds

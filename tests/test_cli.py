@@ -156,6 +156,9 @@ class TestRun:
         assert deriv[0] == "tau,dCdtau"
         summary = summary_dict(tmp_path / "j0_summary.txt")
         assert abs(float(summary["gap"]) - 2.0) < 1e-3
+        # the exact line stays in one window up to tau_max
+        assert float(summary["window_hi"]) == 16.0
+        assert summary["window_open"] == "1"
         # the echoed config carries every resolved default
         assert summary["cfg_model"] == "tfim2d"
         assert summary["cfg_J"] == "0.0"
@@ -175,6 +178,17 @@ class TestRun:
         assert (a / "rep_trace.csv").read_bytes() == (b / "rep_trace.csv").read_bytes()
         assert (a / "rep_deriv.csv").read_bytes() == (b / "rep_deriv.csv").read_bytes()
 
+    def test_run_stops_once_its_window_closed(self, tmp_path):
+        code = main([
+            "run", "--model", "tfim2d", "--J", "0.2", "--g", "1",
+            "--D", "2", "--dtau", "0.2", "--tau_max", "32",
+            "--outdir", str(tmp_path), "--tag", "d2",
+        ])
+        assert code == EXIT_OK
+        summary = summary_dict(tmp_path / "d2_summary.txt")
+        assert int(summary["n_samples"]) < 161
+        assert summary["window_open"] == "0"
+
     def test_no_window_exit_code(self, tmp_path):
         code = main([
             "run", "--model", "tfim2d", "--J", "0.2", "--g", "1",
@@ -182,6 +196,7 @@ class TestRun:
             "--outdir", str(tmp_path), "--tag", "short",
         ])
         assert code == EXIT_NO_WINDOW
+        assert summary_dict(tmp_path / "short_summary.txt")["window_open"] == "nan"
 
     def test_oracle_random_run(self, tmp_path):
         code = main([

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 
+from specgap import estimator
 from specgap.estimator import (
+    MIN_WINDOW_POINTS,
     QUALITY_CLEAN,
     QUALITY_NO_WINDOW,
     QUALITY_POLYNOMIAL,
+    SPIKE_DEPTH,
+    SPIKE_HALFWIDTH,
     WINDOW_REL_TOL,
     GapTrace,
     detect_linear_window,
     drop_spikes,
     estimate_gap,
     numerical_derivative,
+    planned_steps,
     record_trace,
 )
 from specgap.oracle import spectral_decompose, commutator_expectation_exact
@@ -19,6 +24,37 @@ from specgap.oracle import spectral_decompose, commutator_expectation_exact
 def line_trace(slope=-2.0, intercept=3.0, dtau=0.1, tau_max=10.0):
     t = np.arange(0.0, tau_max, dtau)
     return GapTrace(t, intercept + slope * t)
+
+
+def greedy_window(deriv):
+    """The window of ``detect_linear_window``, growing every run from every
+    start sample by sample."""
+    n = len(deriv)
+    best = None
+    for i in range(n // 10, n):
+        j = i
+        while j < n:
+            run = np.sort(deriv[i:j + 1])
+            m = run.size
+            med = run[m // 2] if m % 2 else 0.5 * (run[m // 2 - 1] + run[m // 2])
+            band = WINDOW_REL_TOL * abs(med)
+            if not (run[-1] - med <= band and med - run[0] <= band):
+                break
+            j += 1
+        if j - i >= MIN_WINDOW_POINTS and (best is None or j - i > best[1] - best[0]):
+            best = (i, j)
+    return best
+
+
+def plateaus(rng, n=160):
+    """Derivative samples: a few plateaus with steps between them and
+    scatter around the band's width."""
+    deriv = np.empty(n)
+    edges = np.sort(rng.choice(np.arange(1, n), size=3, replace=False))
+    for lo, hi in zip(np.r_[0, edges], np.r_[edges, n]):
+        deriv[lo:hi] = -rng.uniform(0.5, 1.5)
+    scale = rng.choice([1e-4, 2e-3, 4e-3])
+    return deriv * (1.0 + scale * rng.normal(size=n))
 
 
 class TestDerivative:
@@ -40,6 +76,26 @@ class TestDerivative:
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError):
             numerical_derivative(GapTrace(np.array([0.0]), np.array([1.0])))
+
+    @pytest.mark.parametrize("n", [2, 3, 40])
+    def test_matches_sample_by_sample_differences(self, n):
+        rng = np.random.default_rng(n)
+        t = np.cumsum(rng.choice([0.1, 0.1, 0.1, 0.3], size=n))
+        c = -t + 0.01 * rng.normal(size=n)
+        regular = np.diff(t) <= 1.5 * np.median(np.diff(t))
+        taus, vals = [], []
+        for i in range(n):
+            if 0 < i < n - 1 and regular[i - 1] and regular[i]:
+                vals.append((c[i + 1] - c[i - 1]) / (t[i + 1] - t[i - 1]))
+            elif i == 0 and regular[0]:
+                vals.append((c[1] - c[0]) / (t[1] - t[0]))
+            elif i == n - 1 and regular[n - 2]:
+                vals.append((c[n - 1] - c[n - 2]) / (t[n - 1] - t[n - 2]))
+            else:
+                continue
+            taus.append(t[i])
+        td, d = numerical_derivative(GapTrace(t, c))
+        assert np.array_equal(td, taus) and np.array_equal(d, vals)
 
     def test_gap_in_trace_skipped(self):
         t = np.concatenate([np.arange(0, 3, 0.1), np.arange(5, 8, 0.1)])
@@ -66,6 +122,12 @@ class TestWindowDetection:
         assert td[idx[0]] > 1.0
         med = np.median(d[idx[0]:idx[1]])
         assert abs(med + 1.0) < 1e-3
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_sample_by_sample_growth(self, seed):
+        deriv = plateaus(np.random.default_rng(seed))
+        idx, _ = detect_linear_window(deriv)
+        assert idx == greedy_window(deriv)
 
     def test_power_law_flagged(self):
         t = np.arange(0.5, 20.0, 0.05)
@@ -139,6 +201,21 @@ class TestFit:
         assert len(cleaned) == t.size - 1
         e = estimate_gap(GapTrace(t, c))
         assert e.gap == pytest.approx(2.0, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [3, 6, 10, 11, 12, 40])
+    def test_spikes_against_each_samples_median(self, n):
+        rng = np.random.default_rng(n)
+        t = 0.1 * np.arange(n)
+        c = -t + 0.01 * rng.normal(size=n)
+        c[rng.choice(n, size=max(1, n // 8), replace=False)] -= 30.0
+        keep = [
+            not c[i] < np.median(c[max(0, i - SPIKE_HALFWIDTH):i + SPIKE_HALFWIDTH + 1])
+            - SPIKE_DEPTH
+            for i in range(n)
+        ]
+        cleaned = drop_spikes(GapTrace(t, c))
+        assert np.array_equal(cleaned.taus, t[keep])
+        assert np.array_equal(cleaned.cs, c[keep])
 
     def test_explicit_window(self):
         e = estimate_gap(line_trace(), window=(2.0, 5.0))
@@ -217,3 +294,85 @@ class TestRecordTrace:
         )
         assert trace.taus[0] == 1.0
         assert trace.taus[-1] == 34.0
+
+    def test_last_step_within_tau_max(self):
+        # 3.5 / 1.0 rounded half to even would plan a step to tau = 4
+        trace, advanced, _ = self.run(
+            lambda st: np.exp(-float(st)), dtau=1.0, tau_max=3.5
+        )
+        assert advanced == [1, 2, 3]
+        assert trace.taus[-1] == 3.0
+
+    @pytest.mark.parametrize("dtau, tau_max, steps", [
+        (1.0, 3.5, 3), (0.3, 1.0, 3), (0.2, 0.6, 3), (0.05, 2.3, 46),
+        (0.05, 9.0, 180), (0.2, 32.0, 160), (0.05, 25.0, 500),
+        (0.02, 32.0, 1600),
+    ])
+    def test_planned_steps(self, dtau, tau_max, steps):
+        assert planned_steps(dtau, tau_max) == steps
+
+    @staticmethod
+    def replay(c_of_tau, dtau, tau_max):
+        """The recorded trace of C(tau), and the trace of every planned step."""
+        def measure(step):
+            return np.exp(c_of_tau(step * dtau))
+
+        trace = record_trace(0, lambda st: st + 1, measure, dtau, tau_max)
+        steps = planned_steps(dtau, tau_max)
+        full = GapTrace(dtau * np.arange(steps + 1),
+                        [np.log(abs(measure(k))) for k in range(steps + 1)])
+        assert np.array_equal(trace.taus, full.taus[:len(trace)])
+        assert np.array_equal(trace.cs, full.cs[:len(trace)])
+        return trace, full
+
+    @staticmethod
+    def bend(at):
+        """Slope -0.5 after a transient that outlasts the transient cut,
+        bending away from tau = ``at``; C(0) = 8, so the underflow floor
+        lies below every C reached."""
+        return lambda t: -0.5 * t + 8.0 * np.exp(-2.0 * t) - 0.05 * max(t - at, 0.0) ** 2
+
+    def test_stops_once_the_window_cannot_change(self, monkeypatch):
+        # the benchmark reads its fit time from the one estimate_gap call
+        # after the run, so the stop rule must not call it
+        def unexpected(*args, **kwargs):
+            raise AssertionError("estimate_gap called while recording")
+
+        monkeypatch.setattr(estimator, "estimate_gap", unexpected)
+        trace, full = self.replay(self.bend(16.0), dtau=0.1, tau_max=30.0)
+        monkeypatch.undo()
+        assert len(trace) < 0.7 * len(full)
+        assert trace.cs[-1] - trace.cs[0] > np.log(1e-14)
+        est = estimate_gap(trace)
+        assert est.window[1] == pytest.approx(16.0)
+        assert est == estimate_gap(full)
+
+    def test_short_early_plateau_does_not_stop_the_run(self):
+        # slope -0.5 on [2, 5], then a longer plateau at -0.55 that bends at 22
+        trace, full = self.replay(
+            lambda t: (-0.5 * t + 2.0 * np.exp(-4.0 * t) - 0.05 * max(t - 5.0, 0.0)
+                       - 0.05 * max(t - 22.0, 0.0) ** 2),
+            dtau=0.1, tau_max=30.0,
+        )
+        # what a stop a few samples after the first plateau would read
+        early = estimate_gap(GapTrace(full.taus[:80], full.cs[:80]))
+        assert early.quality == QUALITY_CLEAN
+        assert early.window[1] < 5.0 and early.gap == pytest.approx(0.5, abs=1e-3)
+        assert len(trace) < len(full)
+        est = estimate_gap(trace)
+        assert est.window[0] > 5.0 and est.gap == pytest.approx(0.55, abs=1e-6)
+        assert est == estimate_gap(full)
+
+    @pytest.mark.parametrize("at, tau_max", [
+        (16.0, 30.0), (20.0, 24.0), (20.0, 21.0), (24.0, 25.0),
+    ])
+    def test_stop_waits_for_samples_after_the_window(self, at, tau_max):
+        trace, full = self.replay(self.bend(at), dtau=0.1, tau_max=tau_max)
+        assert len(trace) < len(full)
+        est = estimate_gap(trace)
+        assert np.sum(trace.taus > est.window[1]) >= SPIKE_HALFWIDTH + 1
+        assert est == estimate_gap(full)
+
+    def test_open_plateau_runs_to_tau_max(self):
+        trace, full = self.replay(self.bend(40.0), dtau=0.1, tau_max=30.0)
+        assert len(trace) == len(full)

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from specgap import ipeps
-from specgap.estimator import estimate_gap
+from specgap.estimator import estimate_gap, planned_steps
 from specgap.imps import EvolutionSchedule, bond_gate
 from specgap.ipeps import (
     apply_axis_mpo,
@@ -835,7 +835,7 @@ def _evolved_state(model, schedule, D_max):
                   schedule.dtau, a)
         for a in range(dlat)
     ]
-    for _ in range(int(round(schedule.tau_max / schedule.dtau))):
+    for _ in range(planned_steps(schedule.dtau, schedule.tau_max)):
         for a in range(dlat):
             st, _ = apply_axis_mpo(st, mpos[a], a, D_max)
     return st
