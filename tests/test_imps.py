@@ -31,12 +31,19 @@ from specgap.models import (
     split_hamiltonian,
     tfim_chain_model,
 )
-from specgap.tensor import work_count
+from specgap.tensor import PINV_FLOOR, work_count
 
 
 def chain_bond_hamiltonian(model):
     site, (bond,) = split_hamiltonian(model.hamiltonian, 1)
     return bond_hamiltonian(site, bond, 2)
+
+
+def regauge(state, tol=imps.CANONICAL_TOL):
+    """``recanonicalize`` with the identity gate, keeping bond 0's rank."""
+    d = state.local_dim
+    ident = np.eye(d * d).reshape(d, d, d, d)
+    return recanonicalize(state, ident, state.lams[0].size, tol)
 
 
 def positive_product_state(local_dim, seed):
@@ -99,7 +106,7 @@ class TestTebdStep:
         for _ in range(4):  # build up a well-conditioned D=4 state
             st, _ = tebd_step(st, bond_gate(h, 0.3), 0, 8)
             st, _ = tebd_step(st, bond_gate(h, 0.3), 1, 8)
-        st = recanonicalize(st, tol=1e-10)
+        st = regauge(st, tol=1e-10)
 
         one, _ = tebd_step(st, bond_gate(h, 0.7), 0, 64)
         two, _ = tebd_step(st, bond_gate(h, 0.3), 0, 64)
@@ -186,16 +193,45 @@ class TestExpectation:
 
 
 @pytest.fixture(scope="module")
-def swept_chain():
-    """The J=0.8, g=1, D=32 chain at tau=3, then one Trotter sweep of bond
-    updates without re-canonicalizing."""
+def half_swept_chain():
+    """The J=0.8, g=1, D=32 chain at tau=3, then the two bond updates of a
+    Trotter sweep that precede its ``recanonicalize``."""
     m = tfim_chain_model(0.8, 1.0)
     st = final_state_1d(m, EvolutionSchedule(dtau=0.05, tau_max=3.0, D_max=32), 32, seed=2)
     h = chain_bond_hamiltonian(m)
     st, _ = tebd_step(st, bond_gate(h, 0.025), 0, 32)
     st, _ = tebd_step(st, bond_gate(h, 0.05), 1, 32)
-    st, _ = tebd_step(st, bond_gate(h, 0.025), 0, 32)
     return st
+
+
+@pytest.fixture(scope="module")
+def swept_chain(half_swept_chain):
+    """``half_swept_chain`` after the sweep's last bond-0 update as a plain
+    bond update, without re-canonicalizing."""
+    h = chain_bond_hamiltonian(tfim_chain_model(0.8, 1.0))
+    st, _ = tebd_step(half_swept_chain, bond_gate(h, 0.025), 0, 32)
+    return st
+
+
+def one_sided_cell(side, local_dim=3, D=6, seed=0):
+    """A random cell whose block ``G0 lam0 G1`` is, with the outer weights,
+    a right (``side="right"``) or left isometry: that transfer map's fixed
+    point is the identity, the other's is generic."""
+    rng = np.random.default_rng(seed)
+    lams = [np.sort(rng.uniform(0.2, 1.0, D))[::-1] for _ in range(2)]
+    lams = [lam / np.linalg.norm(lam) for lam in lams]
+    isos = []
+    for _ in range(2):
+        q, _ = np.linalg.qr(rng.normal(size=(local_dim * D, D)))
+        if side == "right":  # sum_sb R[a,s,b] R[c,s,b] = delta_ac
+            isos.append(q.T.reshape(D, local_dim, D))
+        else:  # sum_as L[a,s,b] L[a,s,c] = delta_bc
+            isos.append(q.reshape(D, local_dim, D))
+    if side == "right":  # G0 lam0 G1 lam1 = R0 R1
+        gammas = [isos[i] / lams[i][None, None, :] for i in (0, 1)]
+    else:  # lam1 G0 lam0 G1 = L0 L1
+        gammas = [isos[i] / lams[1 - i][:, None, None] for i in (0, 1)]
+    return IMpsState(gammas, lams)
 
 
 class TestCanonicalForm:
@@ -207,7 +243,7 @@ class TestCanonicalForm:
             st, _ = tebd_step(st, bond_gate(h, 0.05), 0, 8)
             st, _ = tebd_step(st, bond_gate(h, 0.05), 1, 8)
         assert canonical_defect(st) > 1e-3  # plain updates drift
-        fixed = recanonicalize(st, tol=1e-9)
+        fixed = regauge(st, tol=1e-9)
         assert canonical_defect(fixed) <= 1e-9
 
     def test_recanonicalize_idempotent_drift_bound(self):
@@ -216,19 +252,19 @@ class TestCanonicalForm:
         m = tfim_chain_model(0.3, 1.0)
         sch = EvolutionSchedule(dtau=0.05, tau_max=2.0, D_max=8)
         st = final_state_1d(m, sch, 8, seed=3)
-        again = recanonicalize(st, tol=1e-8)
+        again = regauge(st, tol=1e-8)
         for b in (0, 1):
             assert np.max(np.abs(again.lams[b] - st.lams[b])) < 1e-8
 
     def test_one_call_reaches_gauge_where_sweeps_stall(self, swept_chain):
         # bond weights down to ~1e-14 make this gauge badly conditioned
         assert canonical_defect(swept_chain) > 1e-3
-        assert canonical_defect(recanonicalize(swept_chain)) <= 1e-6
+        assert canonical_defect(regauge(swept_chain)) <= 1e-6
 
     def test_second_call_moves_nothing_and_repeats(self, swept_chain):
-        fixed = recanonicalize(swept_chain)
-        again = recanonicalize(fixed)
-        twice = recanonicalize(fixed)
+        fixed = regauge(swept_chain)
+        again = regauge(fixed)
+        twice = regauge(fixed)
         for b in (0, 1):
             assert again.lams[b].shape == fixed.lams[b].shape
             assert np.max(np.abs(again.lams[b] - fixed.lams[b])) < 1e-12
@@ -236,8 +272,9 @@ class TestCanonicalForm:
             assert np.array_equal(again.gammas[b], twice.gammas[b])
 
     def test_fixed_point_matvecs_counted(self, swept_chain, monkeypatch):
+        # one stacked iteration applies both transfer maps
         per_call = []
-        solve = imps._fixed_point
+        solve = imps._fixed_points
 
         def counting(apply, dim, tol):
             def counted(v):
@@ -247,19 +284,73 @@ class TestCanonicalForm:
                 return out
             return solve(counted, dim, tol)
 
-        monkeypatch.setattr(imps, "_fixed_point", counting)
+        monkeypatch.setattr(imps, "_fixed_points", counting)
         start = work_count()
-        recanonicalize(swept_chain)
+        regauge(swept_chain)
         total = work_count() - start
         dl, d = swept_chain.lams[1].size, swept_chain.local_dim
         assert len(per_call) >= 2
-        assert set(per_call) == {2.0 * dl**3 * d * d}
+        assert set(per_call) == {2 * 2.0 * dl**3 * d * d}
         assert total > sum(per_call)
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_both_fixed_points_meet_the_bound(self, side, monkeypatch):
+        # one map starts at its fixed point, so a loop that stopped on the
+        # first converged map would return the other after one iteration
+        seen = []
+        solve = imps._fixed_points
+
+        def recorded(apply, dim, tol):
+            out = solve(apply, dim, tol)
+            seen.append((apply, dim, tol, out))
+            return out
+
+        monkeypatch.setattr(imps, "_fixed_points", recorded)
+        st = one_sided_cell(side)
+        fixed = regauge(st)
+        (apply, dim, tol, v), = seen
+        w = apply(v)
+        w = w * (dim / np.real(np.trace(w, axis1=1, axis2=2)))[:, None, None]
+        steps = np.max(np.abs(w - v), axis=(1, 2))
+        assert np.all(steps <= 1e-2 * tol), steps
+        exact = 0 if side == "right" else 1
+        assert np.max(np.abs(v[exact] - np.eye(dim))) < 1e-12
+        assert np.max(np.abs(v[1 - exact] - np.eye(dim))) > 1e-2
+        assert canonical_defect(fixed) <= 1e-9
 
     def test_unconverged_fixed_point_warns(self, swept_chain, monkeypatch):
         monkeypatch.setattr(imps, "FIXED_POINT_MAX_ITER", 1)
         with pytest.warns(RuntimeWarning, match="canonical fixed point unconverged"):
-            recanonicalize(swept_chain)
+            regauge(swept_chain)
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_fused_half_gate_matches_a_bond_update(self, seed):
+        # one sweep from a product state: every weight sits far above the
+        # cut, and at D_max = 64 neither path truncates
+        m = haldane_model()
+        h = chain_bond_hamiltonian(m)
+        st = random_product_imps(3, seed)
+        st, _ = tebd_step(st, bond_gate(h, 0.2), 0, 64)
+        st, _ = tebd_step(st, bond_gate(h, 0.4), 1, 64)
+        g_half = bond_gate(h, 0.2)
+        fused = recanonicalize(st, g_half, 64)
+        plain, disc = tebd_step(st, g_half, 0, 64)
+        plain = regauge(plain)
+        assert disc == 0.0
+        for b in (0, 1):
+            assert fused.lams[b].size == plain.lams[b].size < 64
+            assert np.max(np.abs(fused.lams[b] - plain.lams[b])) < 1e-10
+        comm = m.commutator()
+        assert expectation_terms_imps(fused, comm) == pytest.approx(
+            expectation_terms_imps(plain, comm), abs=1e-10)
+        assert canonical_defect(fused) <= 1e-6
+
+    def test_fused_cut_warns_below_pinv_floor(self, half_swept_chain):
+        # the next bond-1 update divides by the new bond-0 weights
+        h = chain_bond_hamiltonian(tfim_chain_model(0.8, 1.0))
+        with pytest.warns(RuntimeWarning, match="bond weight below pinv floor"):
+            fused = recanonicalize(half_swept_chain, bond_gate(h, 0.025), 32)
+        assert fused.lams[0].min() < PINV_FLOOR
 
     def test_d32_chain_run_converges_silently(self):
         m = tfim_chain_model(0.8, 1.0)
