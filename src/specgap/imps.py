@@ -13,6 +13,7 @@ makes the bond-0 cut in the canonical split.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -161,6 +162,9 @@ def canonical_defect(state: IMpsState) -> float:
 
 # cap on the power iterations of the transfer-map fixed points
 FIXED_POINT_MAX_ITER = 2000
+# iterations without a new smallest step after which the loop is taken
+# to have stalled at the iterate's rounding floor
+FIXED_POINT_STALL = 20
 # error bound on each transfer-map fixed point of ``recanonicalize``
 CANONICAL_TOL = 1e-8
 
@@ -179,18 +183,28 @@ def _fixed_points(apply, dim: int, tol: float) -> np.ndarray:
     average.  The loop stops once an iteration moves no entry of either
     map by more than ``tol / 100``: the steps shrink geometrically, so
     the remaining error stays below ``tol`` for any contraction ratio up
-    to 0.99.  Hitting the cap warns and returns the last iterates.
+    to 0.99.  A step that has stopped shrinking, with no new smallest
+    step in ``FIXED_POINT_STALL`` iterations, is taken to sit at the
+    iterate's rounding floor: the loop ends there, as it does at the
+    cap, with a warning, and returns the last iterates.
     """
     v = np.stack([np.eye(dim), np.eye(dim)])
-    for _ in range(FIXED_POINT_MAX_ITER):
+    smallest, since = math.inf, 0
+    for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
         w = apply(v)
         w = w * (dim / np.real(np.trace(w, axis1=1, axis2=2)))[:, None, None]
         step = float(np.max(np.abs(w - v)))
         v = w
         if step <= 1e-2 * tol:
             return v
+        if step < smallest:
+            smallest, since = step, 0
+        else:
+            since += 1
+            if since >= FIXED_POINT_STALL:
+                break
     warnings.warn(
-        f"canonical fixed point unconverged after {FIXED_POINT_MAX_ITER} "
+        f"canonical fixed point unconverged after {iterations} "
         f"iterations (last step {step:.1e})",
         RuntimeWarning,
         stacklevel=3,

@@ -15,10 +15,10 @@ evolution schemes are provided:
   (2023)), so it runs no gauge fix;
 * mpo   -- one uniform propagator tensor per axis on the one-site cell,
   with the enlarged bonds brought to the superorthogonal gauge and cut
-  back to D there (Ran et al., PRB 86, 134429 (2012)).  The first gauge
-  pass solves the enlarged bonds' messages only as far as the cut needs
-  to choose its directions, the cut comes right after it, and the second
-  pass polishes only what is kept.
+  back to D there (Ran et al., PRB 86, 134429 (2012)).  Each cut follows
+  one gauge pass that solves the enlarged bonds' messages only as far as
+  the cut needs to choose its directions; the gauge sets no physical
+  value, so one gauge fix per step polishes only the measured state.
 
 Expectation values close every dangling bond with its weights (mean-field
 environment); in the superorthogonal gauge that closure is the bond-local
@@ -377,13 +377,14 @@ MESSAGE_ANDERSON_DEPTH = 5
 # mixing starts once a plain sweep moves no entry by more than this;
 # farther out, the mix can converge onto an unstable fixed point of the
 # sweep, one that plain sweeps move away from, and the gauge and the
-# fitted gap would follow it.  It is also the message tolerance of a pass
-# on bonds wider than D_max: that gauge only chooses the directions the
-# cut drops, and its solve stops before any mix
+# fitted gap would follow it.  It is also the message tolerance of the
+# gauge pass before an axis propagator's cut: that gauge only chooses the
+# directions the cut drops, and its solve stops before any mix
 MESSAGE_ANDERSON_START = 1e-3
-# passes of one gauge fix: when a cut is due, one pass on the enlarged
-# bonds and the cut, then one polish of the cut state; otherwise the
-# gauge at the message fixed point and one polish
+# passes of one gauge fix: the gauge at the message fixed point, then one
+# polish.  The mpo step's gauge fix of the state it measures stops at
+# SO_TOL, nearly always after one pass when the step cut its bonds; a
+# step that cut nothing, whose bonds only grew, needs the second
 SO_MAX_PASSES = 2
 # residual at which a gauge fix stops, and the message fixed point's tolerance
 SO_TOL = 1e-10
@@ -505,20 +506,35 @@ def _message_fixed_point(
 
 
 def _planned_grams(state: IPepsState):
-    """The pass of ``state``, its bond environments after the per-site
-    rescale (done in place, after planning), and the residual they
-    give."""
+    """The pass of ``state`` and its bond environments after the per-site
+    rescale (done in place, after planning)."""
     plan = _plan_pass(state)
     grams = _grams(plan)
     _rescale_sites(state, grams)
-    return plan, grams, _residual(plan, grams)
+    return plan, grams
+
+
+def _rotate_bonds(st: IPepsState, msgs: list[np.ndarray]) -> None:
+    """Rotate every bond of ``st`` in place so that both of its
+    environments in ``msgs`` become the identity; the inserted maps and
+    the new weights multiply back to the old weights."""
+    for b, (n_i, n_j) in zip(bond_list(st), msgs):
+        lam = st.lams[b.key]
+        x, x_inv = psd_factor(n_i)
+        y, y_inv = psd_factor(n_j)
+        u, st.lams[b.key], vh, _ = truncated_svd(
+            (x * lam[None, :]) @ y.T, lam.size
+        )
+        g_i = x_inv @ u
+        g_j = y_inv @ vh.T
+        st.tensors[b.i_site] = _apply_on_leg(st.tensors[b.i_site], b.i_leg, g_i)
+        st.tensors[b.j_site] = _apply_on_leg(st.tensors[b.j_site], b.j_leg, g_j)
 
 
 def superorthogonalize(
     state: IPepsState,
     so_tol: float = SO_TOL,
     max_iter: int = SO_MAX_PASSES,
-    D_max: int | None = None,
 ) -> tuple[IPepsState, SuperorthResult]:
     """Gauge fixing toward the superorthogonal form in at most ``max_iter``
     passes.
@@ -528,51 +544,28 @@ def superorthogonalize(
     per-site scale (applied to the state after planning) and the
     residual; each gauge-fix pass then solves the bond environments
     self-consistently on the same plan (message iteration, started from
-    those environments) and rotates every bond so both of its
-    environments become the identity; the inserted maps and the new
+    those environments, to ``so_tol``) and rotates every bond so both of
+    its environments become the identity; the inserted maps and the new
     weights multiply back to the old weights, so the state itself never
-    changes.  Stops at residual ``so_tol`` (also the message iteration's
-    tolerance, except on a pass that cuts) or after ``max_iter`` passes.
-
-    With ``D_max``, a pass on a state with a bond wider than ``D_max``
-    solves its messages only to ``MESSAGE_ANDERSON_START``, by plain
-    sweeps: that gauge only chooses which directions the cut drops.  Every
-    bond is then cut to ``D_max`` (``truncate_bonds``) at once, whatever
-    the residual, and later passes polish the cut state to ``so_tol``.  A
-    wide state runs that pass even when it meets ``so_tol`` on entry, so
-    with ``max_iter >= 1`` every returned bond is at most ``D_max``.  The
-    residual, the ``converged`` flag and the stall warning describe the
-    returned state; a residual that is not finite reads unconverged and
-    warns.
+    changes.  Stops at residual ``so_tol`` or after ``max_iter`` passes.
+    The residual, the ``converged`` flag and the stall warning describe
+    the returned state; a residual that is not finite reads unconverged
+    and warns.
     """
     st = state.copy()
-    plan, grams, residual = _planned_grams(st)
+    plan, grams = _planned_grams(st)
+    residual = _residual(plan, grams)
     iterations = 0
     sweeps = 0
-    while iterations < max_iter:
-        cut = D_max is not None and st.max_bond() > D_max
-        if residual <= so_tol and not cut:
-            break
-        msgs, n_sweeps = _message_fixed_point(
-            plan, MESSAGE_ANDERSON_START if cut else so_tol, grams)
+    while iterations < max_iter and not residual <= so_tol:
+        msgs, n_sweeps = _message_fixed_point(plan, so_tol, grams)
         # free this plan's buffers before the next plan allocates its own
         del plan
         sweeps += n_sweeps
-        for b, (n_i, n_j) in zip(bond_list(st), msgs):
-            lam = st.lams[b.key]
-            x, x_inv = psd_factor(n_i)
-            y, y_inv = psd_factor(n_j)
-            u, st.lams[b.key], vh, _ = truncated_svd(
-                (x * lam[None, :]) @ y.T, lam.size
-            )
-            g_i = x_inv @ u
-            g_j = y_inv @ vh.T
-            st.tensors[b.i_site] = _apply_on_leg(st.tensors[b.i_site], b.i_leg, g_i)
-            st.tensors[b.j_site] = _apply_on_leg(st.tensors[b.j_site], b.j_leg, g_j)
+        _rotate_bonds(st, msgs)
         iterations += 1
-        if cut:
-            st, _ = truncate_bonds(st, D_max)
-        plan, grams, residual = _planned_grams(st)
+        plan, grams = _planned_grams(st)
+        residual = _residual(plan, grams)
     converged = residual <= so_tol
     if not residual <= SO_WARN_RESIDUAL:
         warnings.warn(
@@ -606,13 +599,18 @@ def apply_axis_mpo(
     mpo: Mpo,
     axis: int,
     D_max: int,
-) -> tuple[IPepsState, SuperorthResult]:
-    """Contract one axis propagator into the site tensor and re-truncate.
+) -> tuple[IPepsState, float]:
+    """Contract one axis propagator into the site tensor and re-truncate;
+    returns the new state and the cut's discarded weight.
 
     The propagator's virtual channels merge into the two bonds along the
-    axis (D -> D * Dw, old bond index slower), and ``superorthogonalize``
-    with ``D_max`` gauges the enlarged bonds, cuts them back to D_max and
-    polishes the cut state; the result describes the returned state.
+    axis (D -> D * Dw, old bond index slower).  When a bond is then wider
+    than ``D_max``, one gauge pass on the enlarged bonds solves their
+    messages by plain sweeps to ``MESSAGE_ANDERSON_START`` (that gauge
+    only chooses the directions the cut drops), and ``truncate_bonds``
+    cuts every bond to ``D_max``.  The returned state is not polished:
+    the next cut solves its own messages, and the evolution polishes the
+    state it measures.
     """
     if state.n_sites != 1:
         raise ValueError("axis propagators act on the one-site unit cell")
@@ -639,7 +637,13 @@ def apply_axis_mpo(
     st.tensors[0] = merged
     lam = st.lams[(axis, 0)]
     st.lams[(axis, 0)] = np.kron(lam, np.ones(dw)) / np.sqrt(dw)
-    return superorthogonalize(st, SO_TOL, SO_MAX_PASSES, D_max=D_max)
+    if st.max_bond() <= D_max:
+        return st, 0.0
+    plan, grams = _planned_grams(st)
+    msgs, _ = _message_fixed_point(plan, MESSAGE_ANDERSON_START, grams)
+    del plan, grams
+    _rotate_bonds(st, msgs)
+    return truncate_bonds(st, D_max)
 
 
 class _GateSide(NamedTuple):
@@ -841,8 +845,9 @@ def run_evolution_peps(
     gates scheme: the plain simple update, second-order Trotter over the
     checkerboard bond classes (forward then reverse half steps); its bond
     weights are the environment, and no gauge fix runs.  mpo scheme: one
-    axis propagator after another on the one-site cell,
-    superorthogonalizing at every application.
+    axis propagator after another on the one-site cell, each cut in a
+    rough superorthogonal gauge, then one gauge fix that polishes the
+    state each step measures.
     """
     dlat = model.dimension
     if dlat < 2:
@@ -861,7 +866,7 @@ def run_evolution_peps(
         def advance(st):
             for a in range(dlat):
                 st, _ = apply_axis_mpo(st, mpos[a], a, D_max)
-            return st
+            return superorthogonalize(st, SO_TOL, SO_MAX_PASSES)[0]
 
     else:
         state = random_product_ipeps(dlat, 2, schedule.seed)

@@ -323,6 +323,22 @@ class TestCanonicalForm:
         with pytest.warns(RuntimeWarning, match="canonical fixed point unconverged"):
             regauge(swept_chain)
 
+    def test_stalled_fixed_point_stops_and_warns(self):
+        # a map whose step stays at 1e-9 to 2e-9, above the 1e-10 bound
+        # for tol 1e-8: the loop ends FIXED_POINT_STALL iterations after
+        # its smallest step, the first, not at the cap
+        calls = []
+
+        def stalled(v):
+            calls.append(None)
+            kick = 1e-9 if len(calls) % 2 else -1e-9
+            return np.stack([np.eye(3) + kick * np.ones((3, 3))] * 2)
+
+        with pytest.warns(RuntimeWarning, match="canonical fixed point unconverged"):
+            v = imps._fixed_points(stalled, 3, 1e-8)
+        assert len(calls) == imps.FIXED_POINT_STALL + 1
+        assert np.max(np.abs(v - np.eye(3))) < 1e-8
+
     @pytest.mark.parametrize("seed", [1, 5])
     def test_fused_half_gate_matches_a_bond_update(self, seed):
         # one sweep from a product state: every weight sits far above the

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -301,27 +302,30 @@ class TestMessageFixedPoint:
             assert rel_err(g, r) <= 1e-12
 
     def test_stays_on_the_plain_fixed_point(self, monkeypatch):
-        # the gauge fix at the second step of a 3D J=0.15 run from seed
-        # 753: plain sweeps first drift away from an unstable fixed point
-        # and then take 125 sweeps to settle elsewhere; mixing from the
-        # first sweeps converged onto the unstable one, whose gauge led
-        # the run to a gap of 0.599 instead of 0.838
+        # the gauge pass before the third axis's cut at the second step of
+        # a 3D J=0.15 run from seed 753: plain sweeps first drift away
+        # from an unstable fixed point and then take 125 sweeps to settle
+        # elsewhere; mixing from the first sweeps converged onto the
+        # unstable one, whose gauge led the run to a gap of 0.599 instead
+        # of 0.838
         m = tfim_model(3, 0.15, 1.0)
-        site_h, bond_h = split_hamiltonian(m.hamiltonian, 3)
-        mpos = [build_wii(hamiltonian_line_mpo(bond_h[a], site_h, 1.0 / 3), 0.2, a)
-                for a in range(3)]
+        # the enlarged states that the gauge fix before each cut plans on;
+        # the first step cuts nothing, the second cuts on every axis
         inputs = []
-        inner = ipeps.superorthogonalize
+        inner = ipeps._plan_pass
 
-        def keep_input(st, *args, **kwargs):
-            inputs.append(st.copy())
-            return inner(st, *args, **kwargs)
+        def keep_input(st):
+            if st.max_bond() > 3:
+                inputs.append(st.copy())
+            return inner(st)
 
-        monkeypatch.setattr(ipeps, "superorthogonalize", keep_input)
+        monkeypatch.setattr(ipeps, "_plan_pass", keep_input)
+        advance = mpo_advance(m, 0.2, 3)
         st = random_product_ipeps(3, 1, 753)
-        for a in (0, 1, 2, 0, 1, 2):
-            st, _ = apply_axis_mpo(st, mpos[a], a, 3)
-        st = inputs[5]
+        for _ in range(2):
+            st = advance(st)
+        assert len(inputs) == 3
+        st = inputs[2]
         got, sweeps = solve(st, 1e-12, identity_messages(st))
         ref, plain = plain_messages(st, tol=1e-12)
         assert sweeps < plain < 2000
@@ -618,16 +622,6 @@ class TestSuperorthogonalize:
             _, info = superorthogonalize(random_d2_state(1), so_tol=1e-10)
         assert info.converged
 
-    def test_wide_state_in_gauge_is_cut(self):
-        # a state already at so_tol on entry still gets its cut when a bond
-        # is wider than D_max, and the result describes the cut state
-        base, _ = superorthogonalize(random_d2_state(2), so_tol=1e-12)
-        assert superorthogonality_residual(base) <= ipeps.SO_TOL
-        out, info = superorthogonalize(base, ipeps.SO_TOL, 2, D_max=1)
-        assert out.max_bond() == 1 and info.iterations >= 1
-        assert superorthogonality_residual(out) == pytest.approx(
-            info.residual, abs=1e-14)
-
     def test_unconverged_messages_warn(self, monkeypatch):
         monkeypatch.setattr(ipeps, "MESSAGE_MAX_SWEEPS", 1)
         with pytest.warns(RuntimeWarning, match="message fixed point unconverged"):
@@ -681,6 +675,8 @@ class TestAxisMpo:
             st = random_product_ipeps(2, 1, 11)
             stx, _ = apply_axis_mpo(st, w, 0, 16)
             sty, _ = apply_axis_mpo(stx, w, 1, 16)
+            # the step's polish: the mean-field closure reads the gauge
+            sty, _ = superorthogonalize(sty, ipeps.SO_TOL, ipeps.SO_MAX_PASSES)
             got = expectation_terms_peps(sty, OX)
 
             hd = terms_to_dense(m.hamiltonian, (2, 2))
@@ -696,14 +692,29 @@ class TestAxisMpo:
         assert errs[0] / errs[1] > 2.5  # second-order in the step
 
     def test_j_zero_fixed_point_mpo(self):
+        # below D_max nothing is cut; the step's polish takes the bond
+        # back to 1
         st = plus_state(2, 1)
         blocks = hamiltonian_line_mpo(
             0.0 * np.kron(PAULI_Z, PAULI_Z), -1.0 * PAULI_X, 0.5
         )
         w = build_wii(blocks, 0.05)
-        out, _ = apply_axis_mpo(st, w, 0, 4)
+        out, discarded = apply_axis_mpo(st, w, 0, 4)
+        assert discarded == 0.0
+        out, _ = superorthogonalize(out, ipeps.SO_TOL, ipeps.SO_MAX_PASSES)
         assert out.max_bond() == 1
         assert np.max(np.abs(out.tensors[0] - st.tensors[0])) < 1e-12
+
+    def test_wide_state_in_gauge_is_cut(self):
+        # a state already at SO_TOL still gets its cut when a bond is
+        # wider than D_max, and the discarded weight is that cut's
+        base, _ = superorthogonalize(random_d2_state(2), so_tol=1e-12)
+        assert superorthogonality_residual(base) <= ipeps.SO_TOL
+        ident = Mpo(np.eye(2).reshape(1, 1, 2, 2), 0)
+        out, discarded = apply_axis_mpo(base, ident, 0, 1)
+        assert out.max_bond() == 1
+        assert discarded == pytest.approx(
+            max(lam[1] ** 2 for lam in base.lams.values()), rel=1e-6)
 
     @staticmethod
     def evolved(dim, J, D):
@@ -719,21 +730,23 @@ class TestAxisMpo:
     @pytest.mark.parametrize("dim,J,D", [(2, 0.2, 4), (3, 0.15, 3)],
                              ids=["2d", "3d"])
     def test_returned_state_matches_its_result(self, dim, J, D):
-        # every bond comes back cut to D_max, and the result's residual is
-        # the returned state's own
+        # every bond comes back cut to D_max with a discarded weight, and
+        # the polish's residual is the polished state's own
         st, mpos = self.evolved(dim, J, D)
         for a, w in enumerate(mpos):
-            out, info = apply_axis_mpo(st, w, a, D)
-            assert out.max_bond() <= D
-            assert info.iterations >= 1
-            assert superorthogonality_residual(out) == pytest.approx(
-                info.residual, rel=1e-6, abs=1e-14)
-            assert info.converged == (info.residual <= ipeps.SO_TOL)
-            st = out
+            st, discarded = apply_axis_mpo(st, w, a, D)
+            assert st.max_bond() <= D
+            assert 0.0 < discarded < 1.0
+        out, info = superorthogonalize(st, ipeps.SO_TOL, ipeps.SO_MAX_PASSES)
+        assert out.max_bond() <= D
+        assert info.iterations >= 1
+        assert superorthogonality_residual(out) == pytest.approx(
+            info.residual, rel=1e-6, abs=1e-14)
+        assert info.converged == (info.residual <= ipeps.SO_TOL)
 
     def test_cut_state_is_polished(self, monkeypatch):
-        # plain sweeps to MESSAGE_ANDERSON_START on the enlarged bonds, the
-        # cut right after that pass, then the polish at D_max to SO_TOL
+        # plain sweeps to MESSAGE_ANDERSON_START on the enlarged bonds and
+        # the cut right after that pass; the step's polish at D_max to SO_TOL
         st, (w, _) = self.evolved(2, 0.2, 4)
         solves, mixes = [], []
         inner_solve, inner_mix = ipeps._message_fixed_point, ipeps._anderson_mix
@@ -755,15 +768,56 @@ class TestAxisMpo:
         monkeypatch.setattr(ipeps, "_message_fixed_point", recorded)
         monkeypatch.setattr(ipeps, "_anderson_mix", recorded_mix)
         monkeypatch.setattr(ipeps, "_plan_pass", counted_plan)
-        out, info = apply_axis_mpo(st, w, 0, 4)
-        assert solves == [(4 * w.virtual_dim, ipeps.MESSAGE_ANDERSON_START),
-                          (4, ipeps.SO_TOL)]
+        cut, _ = apply_axis_mpo(st, w, 0, 4)
+        assert solves == [(4 * w.virtual_dim, ipeps.MESSAGE_ANDERSON_START)]
+        assert plans == [4 * w.virtual_dim]
+        assert cut.max_bond() == 4
+        out, info = superorthogonalize(cut, ipeps.SO_TOL, ipeps.SO_MAX_PASSES)
+        assert solves[1:] == [(4, ipeps.SO_TOL)]
         # one plan per state: the enlarged one, the cut one, the polished one
         assert plans == [4 * w.virtual_dim, 4, 4]
         assert all(width <= 4 for width in mixes)
-        assert info.iterations == 2 and info.converged
+        assert info.iterations == 1 and info.converged
         assert out.max_bond() == 4
         assert superorthogonality_residual(out) <= ipeps.SO_TOL
+
+    @pytest.mark.parametrize("dim,J,D", [(2, 0.2, 4), (3, 0.15, 3)],
+                             ids=["2d", "3d"])
+    def test_step_polishes_only_the_measured_state(self, dim, J, D, monkeypatch):
+        # one mpo step: per axis, plain sweeps to MESSAGE_ANDERSON_START on
+        # the enlarged bonds and the cut; then one polish at D_max to
+        # SO_TOL, which plans on entry and after its pass
+        st, mpos = self.evolved(dim, J, D)
+        advance = mpo_advance(tfim_model(dim, J, 1.0), 0.2, D)
+        solves, plans, polished = [], [], []
+        inner_solve, inner_plan = ipeps._message_fixed_point, ipeps._plan_pass
+        inner_polish = ipeps.superorthogonalize
+
+        def recorded(plan, tol, start):
+            solves.append((max(w.size for w in plan.lams), tol))
+            return inner_solve(plan, tol, start)
+
+        def counted_plan(state):
+            plans.append(state.max_bond())
+            return inner_plan(state)
+
+        def kept_result(*args):
+            polished.append(inner_polish(*args))
+            return polished[-1]
+
+        monkeypatch.setattr(ipeps, "_message_fixed_point", recorded)
+        monkeypatch.setattr(ipeps, "_plan_pass", counted_plan)
+        monkeypatch.setattr(ipeps, "superorthogonalize", kept_result)
+        out = advance(st)
+        wide = D * mpos[0].virtual_dim
+        assert solves == ([(wide, ipeps.MESSAGE_ANDERSON_START)] * dim
+                          + [(D, ipeps.SO_TOL)])
+        assert plans == [wide] * dim + [D, D]
+        (state, info), = polished
+        assert state is out and out.max_bond() == D
+        assert info.iterations == 1
+        assert superorthogonality_residual(out) == pytest.approx(
+            info.residual, rel=1e-6, abs=1e-14)
 
     def test_checkerboard_rejected(self):
         st = random_product_ipeps(2, 2, 1)
@@ -825,19 +879,23 @@ class TestExpectation:
             expectation_terms_peps(st, diag)
 
 
+def mpo_advance(model, dtau, D_max):
+    """One step of ``run_evolution_peps``'s mpo scheme, as the function the
+    evolution repeats: ``record_trace`` is replaced by one that returns
+    its ``advance``."""
+    sch = EvolutionSchedule(dtau=dtau, tau_max=dtau, scheme="mpo",
+                            D_max=D_max, seed=0)
+    with mock.patch.object(ipeps, "record_trace",
+                           lambda state, advance, *rest: advance):
+        return run_evolution_peps(model, sch, D_max)
+
+
 def _evolved_state(model, schedule, D_max):
-    """Short evolution returning the final state (mpo scheme)."""
-    dlat = model.dimension
-    site_h, bond_h = split_hamiltonian(model.hamiltonian, dlat)
-    st = random_product_ipeps(dlat, 1, schedule.seed)
-    mpos = [
-        build_wii(hamiltonian_line_mpo(bond_h[a], site_h, 1.0 / dlat),
-                  schedule.dtau, a)
-        for a in range(dlat)
-    ]
+    """Short evolution returning the final, measured state (mpo scheme)."""
+    advance = mpo_advance(model, schedule.dtau, D_max)
+    st = random_product_ipeps(model.dimension, 1, schedule.seed)
     for _ in range(planned_steps(schedule.dtau, schedule.tau_max)):
-        for a in range(dlat):
-            st, _ = apply_axis_mpo(st, mpos[a], a, D_max)
+        st = advance(st)
     return st
 
 
