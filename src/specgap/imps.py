@@ -4,11 +4,17 @@ Two-site unit cell: site tensors G[0], G[1] with axes (left, phys, right),
 bond weights lam[0] (right of site 0) and lam[1] (right of site 1).  The
 state reads ... lam[1] G[0] lam[0] G[1] lam[1] ...  Expectation values use
 the canonical closure, which is exact in 1D.  Imaginary-time gates break
-that form.  A step makes two plain bond updates (``tebd_step``), then
-``recanonicalize`` applies the last half gate to the two-site block,
+that form.
+
+A 1D run carries the canonical cell (``IMpsCell``): the two-site block
+``lam1 A lam1``, A = G0 lam0 G1, with bond 0 inside it not cut.  A step
+applies its first half gate to the cell and makes its one bond-0 cut
+(``split_cell``), makes the plain bond-1 update (``tebd_step``), and
+``recanonicalize`` applies the last half gate to the blocked cell and
 restores the canonical form in one shot from the dominant fixed points of
-the two-site transfer maps (Orus & Vidal, PRB 78, 155117 (2008)), and
-makes the bond-0 cut in the canonical split.
+the two-site transfer maps (Orus & Vidal, PRB 78, 155117 (2008)).  Its
+result is the next cell, and that cell is what the step measures: it is
+canonical up to the fixed points' error, with no cut after them.
 """
 
 from __future__ import annotations
@@ -38,6 +44,26 @@ class IMpsState:
         return self.gammas[0].shape[1]
 
 
+@dataclass
+class IMpsCell:
+    """Two-site block ``theta = lam1 G0 lam0 G1 lam1`` of a canonical iMPS,
+    axes (left, phys 0, phys 1, right), with bond 0 not cut, and its outer
+    weights ``lam`` (bond 1).
+
+    With ``A`` the block with ``lam`` divided out on both ends, ``lam A``
+    is a left and ``A lam`` a right isometry, up to one common scale that
+    neither the bond-0 cut (unit-norm weights) nor the measurement
+    (normalized by the norm) sees.
+    """
+
+    theta: np.ndarray
+    lam: np.ndarray
+
+    @property
+    def local_dim(self) -> int:
+        return self.theta.shape[1]
+
+
 def random_product_imps(local_dim: int, seed: int) -> IMpsState:
     """Bond-dimension-1 state of two independent random real unit vectors."""
     rng = np.random.default_rng(seed)
@@ -47,6 +73,39 @@ def random_product_imps(local_dim: int, seed: int) -> IMpsState:
         v /= np.linalg.norm(v)
         gammas.append(v.reshape(1, local_dim, 1))
     return IMpsState(gammas, [np.ones(1), np.ones(1)])
+
+
+def identity_gate(local_dim: int) -> np.ndarray:
+    """The two-site identity as a gate (out_i, out_j, in_i, in_j)."""
+    return np.eye(local_dim * local_dim).reshape((local_dim,) * 4)
+
+
+def _block(state: IMpsState, b: int) -> np.ndarray:
+    """The two sites across bond ``b`` with the other bond's weights on
+    both open ends: ``lam G_b lam_b G_(1-b) lam``."""
+    lam_env = state.lams[1 - b]  # both outer bonds are the other weight
+    t1 = state.gammas[b] * lam_env[:, None, None] * state.lams[b][None, None, :]
+    t2 = state.gammas[1 - b] * lam_env[None, None, :]
+    return einsum2("apb,bqc->apqc", t1, t2)
+
+
+def to_cell(state: IMpsState) -> IMpsCell:
+    """The cell of a Vidal-form state: its block across bond 0."""
+    return IMpsCell(_block(state, 0), state.lams[1])
+
+
+def _gate_and_cut(theta, gate, inv_env, D_max, rel_tol, bond):
+    """Apply ``gate`` to a two-site block, cut the middle bond to ``D_max``
+    and divide the outer weights back out with ``inv_env``."""
+    theta = einsum2("xypq,apqc->axyc", np.asarray(gate), theta)
+    dl, d, _, dr = theta.shape
+    u, lam_new, vh, discarded = truncated_svd(
+        theta.reshape(dl * d, d * dr), D_max, rel_tol
+    )
+    warn_below_floor(lam_new, bond)
+    left = u.reshape(dl, d, -1) * inv_env[:, None, None]
+    right = vh.reshape(-1, d, dr) * inv_env[None, None, :]
+    return left, lam_new, right, discarded
 
 
 def tebd_step(
@@ -63,78 +122,72 @@ def tebd_step(
     afterwards; the new bond weights are renormalized to unit norm.
     """
     b = which_bond
-    gi, gj = state.gammas[b], state.gammas[1 - b]
-    lam_mid = state.lams[b]
-    lam_env = state.lams[1 - b]  # both outer bonds are the other weight
-    d = state.local_dim
-
-    t1 = gi * lam_env[:, None, None] * lam_mid[None, None, :]
-    t2 = gj * lam_env[None, None, :]
-    theta = einsum2("apb,bqc->apqc", t1, t2)
-    theta = einsum2("xypq,apqc->axyc", np.asarray(bond_gate), theta)
-    dl, _, _, dr = theta.shape
-    u, lam_new, vh, discarded = truncated_svd(
-        theta.reshape(dl * d, d * dr), D_max, rel_tol
+    gi, lam_new, gj, discarded = _gate_and_cut(
+        _block(state, b), bond_gate, pinv_weights(state.lams[1 - b]),
+        D_max, rel_tol, b,
     )
-    warn_below_floor(lam_new, b)
-    inv = pinv_weights(lam_env)
-    gi_new = u.reshape(dl, d, -1) * inv[:, None, None]
-    gj_new = vh.reshape(-1, d, dr) * inv[None, None, :]
-
     gammas = list(state.gammas)
     lams = list(state.lams)
-    gammas[b], gammas[1 - b] = gi_new, gj_new
+    gammas[b], gammas[1 - b] = gi, gj
     lams[b] = lam_new
     return IMpsState(gammas, lams), discarded
 
 
-def _theta(state: IMpsState, base: int, n_sites: int) -> np.ndarray:
-    """Unit-cell segment with full bond weights on both open ends."""
-    lam_left = state.lams[1 - base]
-    cur = state.gammas[base] * lam_left[:, None, None]
-    letters = "pqr"
-    for m in range(1, n_sites):
-        lam = state.lams[(base + m - 1) % 2]
-        cur = cur * lam.reshape((1,) * (cur.ndim - 1) + (-1,))
-        nxt = state.gammas[(base + m) % 2]
-        sub = f"a{letters[:m]}b,b{letters[m]}c->a{letters[: m + 1]}c"
-        cur = einsum2(sub, cur, nxt)
-    lam_right = state.lams[(base + n_sites - 1) % 2]
-    cur = cur * lam_right.reshape((1,) * (cur.ndim - 1) + (-1,))
-    return cur
+def split_cell(
+    cell: IMpsCell,
+    gate: np.ndarray,
+    D_max: int,
+    rel_tol: float = SVD_CUT,
+) -> tuple[IMpsState, float]:
+    """Apply ``gate`` across bond 0 of the cell and cut bond 0 to ``D_max``.
+
+    ``tebd_step`` on bond 0, made on the block itself: the same gate axes,
+    cut and return value.  The outer weights are divided out exactly; the
+    cell's weights are the kept values of a cut, all above its floor.
+    With the identity gate this is the Vidal form of the cell.
+    """
+    g0, lam0, g1, discarded = _gate_and_cut(
+        cell.theta, gate, 1.0 / cell.lam, D_max, rel_tol, 0)
+    return IMpsState([g0, g1], [lam0, cell.lam]), discarded
 
 
-_SANDWICH = {
-    1: "px,axb->apb",
-    2: "pqxy,axyb->apqb",
-    3: "pqrxyz,axyzb->apqrb",
-}
-
-
-def expectation_terms_imps(state: IMpsState, terms: OperatorTerms) -> float:
+def expectation_terms_imps(cell: IMpsCell, terms: OperatorTerms) -> float:
     """Per-unit-cell expectation of translation-invariant local terms.
 
-    Contiguous supports of up to three sites are evaluated in canonical
-    closure (exact in 1D); each term is summed over the two inequivalent
-    base sites of the unit cell.
+    Supports of up to three contiguous sites, each term summed over the two
+    inequivalent base sites of the unit cell.  Two cells make the block
+    ``lam1 A lam1 A lam1`` of sites (0, 1, 0', 1'), closed with identities
+    on both open bonds (the canonical closure, exact in 1D).  The reduced
+    density matrices of its windows (0, 1, 0') and (1, 0', 1') are built
+    once, transposed; a k-site term at base site b reads window b traced
+    down to its first k sites, as the dot product of that transpose with
+    the term's matrix, so no term copies a window.
     """
-    d = state.local_dim
-    total = 0.0
-    imag_max = 0.0
+    d = cell.local_dim
     for term in terms.terms:
         offsets = [s[0] for s in term.sites]
-        k = len(offsets)
-        if offsets != list(range(k)) or k > 3:
+        if offsets != list(range(len(offsets))) or len(offsets) > 3:
             raise ValueError(
                 f"unsupported term support {term.sites}: need <= 3 contiguous sites"
             )
-        mat = term.matrix.reshape((d,) * (2 * k))
-        for base in (0, 1):
-            th = _theta(state, base, k)
-            applied = einsum2(_SANDWICH[k], mat, th)
-            num = complex(np.vdot(th, applied))
-            den = float(np.real(np.vdot(th, th)))
-            val = num / den
+    r = cell.lam.size
+    half = (cell.theta / cell.lam).reshape(r, d * d, r)  # lam1 A
+    two = einsum2("apb,bqc->apqc", half, cell.theta.reshape(r, d * d, r))
+    norm = float(np.real(np.vdot(two, two)))  # <psi|psi> of the two cells
+    two = two.reshape(r, d, d, d, d, r)
+    windows = []
+    for perm in ((1, 2, 3, 0, 4, 5), (2, 3, 4, 0, 1, 5)):
+        # rows: the window's three sites; columns: the traced rest
+        rows = np.ascontiguousarray(two.transpose(perm)).reshape(d**3, -1)
+        windows.append(einsum2("qy,py->qp", rows.conj(), rows))
+    total = 0.0
+    imag_max = 0.0
+    for term in terms.terms:
+        k = len(term.sites)
+        flat = term.matrix.ravel()
+        for rho_t in windows:
+            shaped = rho_t.reshape(d**k, d ** (3 - k), d**k, d ** (3 - k))
+            val = complex(np.trace(shaped, axis1=1, axis2=3).ravel() @ flat) / norm
             imag_max = max(imag_max, abs(val.imag))
             total += val.real
     warn_imaginary(imag_max, total)
@@ -215,20 +268,20 @@ def _fixed_points(apply, dim: int, tol: float) -> np.ndarray:
 def recanonicalize(
     state: IMpsState,
     gate: np.ndarray,
-    D_max: int,
     tol: float = CANONICAL_TOL,
-) -> IMpsState:
-    """Apply ``gate`` across bond 0, then restore the Vidal form in one
-    shot (Orus & Vidal, PRB 78, 155117) and cut bond 0 to ``D_max``.
+) -> IMpsCell:
+    """Apply ``gate`` across bond 0, then restore the canonical form in one
+    shot (Orus & Vidal, PRB 78, 155117) and return the cell.
 
     The cell is blocked into ``A = gate (G0 lam0 G1)``.  The dominant right
     and left fixed points of the two-site transfer maps at bond 1 are
     factored as ``X X^dag`` and ``Y^dag Y``; one SVD of ``Y lam1 X`` gives
-    the new ``lam1`` and the gauge maps, and one SVD of ``lam1 A' lam1``,
-    already in the canonical gauge, splits the cell back into ``G0, lam0,
-    G1`` and makes the bond-0 cut (``D_max`` and ``SVD_CUT``, as in
-    ``tebd_step``).  To re-gauge a state alone, pass the identity gate.
-    ``tol`` bounds the error of each fixed point (see ``_fixed_points``).
+    the new ``lam1`` and the gauge maps, and the result is ``lam1 A' lam1``
+    in that gauge.  Bond 0 stays uncut inside it: the next step's
+    ``split_cell`` cuts it after its first half gate, and ``split_cell``
+    with the identity gate gives the Vidal form.  To re-gauge a state
+    alone, pass the identity gate.  ``tol`` bounds the error of each fixed
+    point (see ``_fixed_points``).
     """
     g0, g1 = state.gammas
     lam0, lam1 = state.lams
@@ -257,14 +310,8 @@ def recanonicalize(
     r = lam1.size
     a = einsum2("xa,asb->xsb", wh @ x_inv.conj().T, a)
     a = einsum2("xsb,by->xsy", a, y_inv @ u)
-
-    theta = (a * lam1[:, None, None] * lam1[None, None, :]).reshape(r * d, d * r)
-    u, lam0, vh, _ = truncated_svd(theta, D_max)
-    warn_below_floor(lam0, 0)
-    inv = 1.0 / lam1
-    g0 = u.reshape(r, d, -1) * inv[:, None, None]
-    g1 = vh.reshape(-1, d, r) * inv[None, None, :]
-    return IMpsState([g0, g1], [lam0, lam1])
+    theta = a * lam1[:, None, None] * lam1[None, None, :]
+    return IMpsCell(theta.reshape(r, d, d, r), lam1)
 
 
 def pair_degeneracy_defect(lam: np.ndarray) -> float:
@@ -319,15 +366,18 @@ def _setup_1d(
     D_max: int,
     seed: int,
 ):
-    """Initial product state and the ``advance(state)`` sweep of a 1D run.
+    """Initial cell and the ``advance(cell)`` sweep of a 1D run.
 
     One sweep is second-order Trotter: bond 0 at dtau/2, bond 1 at dtau,
     bond 0 at dtau/2.  Imaginary-time gates are not unitary, so a plain
     bond update leaves the state off the canonical form by O(dtau).  The
-    first two gates are ``tebd_step`` updates; ``recanonicalize`` applies
-    the last half gate, restores the canonical form and cuts bond 0 in its
-    canonical split, so the closure (and with it every measurement) is
-    exact up to that cut's discarded weight.
+    run carries the canonical cell (``IMpsCell``), and the initial product
+    state enters as one.  ``split_cell`` applies the first half gate to
+    the cell and makes the step's one bond-0 cut, ``tebd_step`` makes the
+    bond-1 update, and ``recanonicalize`` applies the last half gate and
+    restores the canonical form.  The cell it returns is measured uncut,
+    so the closure (and with it every measurement) is exact up to the
+    fixed points' error.
     """
     if model.dimension != 1:
         raise ValueError("a 1D evolution needs a one-dimensional model")
@@ -336,12 +386,12 @@ def _setup_1d(
     g_half = bond_gate(h, schedule.dtau / 2.0)
     g_full = bond_gate(h, schedule.dtau)
 
-    def advance(state: IMpsState) -> IMpsState:
-        state, _ = tebd_step(state, g_half, 0, D_max, SVD_CUT)
+    def advance(cell: IMpsCell) -> IMpsCell:
+        state, _ = split_cell(cell, g_half, D_max, SVD_CUT)
         state, _ = tebd_step(state, g_full, 1, D_max, SVD_CUT)
-        return recanonicalize(state, g_half, D_max)
+        return recanonicalize(state, g_half)
 
-    return random_product_imps(model.hamiltonian.local_dim, seed), advance
+    return to_cell(random_product_imps(model.hamiltonian.local_dim, seed)), advance
 
 
 def run_evolution_1d(
@@ -355,9 +405,9 @@ def run_evolution_1d(
     if seed is None:
         seed = schedule.seed
     comm = model.commutator()
-    state, advance = _setup_1d(model, schedule, D_max, seed)
+    cell, advance = _setup_1d(model, schedule, D_max, seed)
     return record_trace(
-        state, advance, lambda st: expectation_terms_imps(st, comm),
+        cell, advance, lambda c: expectation_terms_imps(c, comm),
         schedule.dtau, schedule.tau_max,
     )
 
@@ -368,10 +418,13 @@ def final_state_1d(
     D_max: int,
     seed: int | None = None,
 ) -> IMpsState:
-    """The evolved state at tau_max (for spectrum/convergence checks)."""
+    """The evolved state at tau_max in Vidal form (for spectrum and
+    convergence checks): the last cell split with the identity gate and
+    the run's bond-0 cut."""
     if seed is None:
         seed = schedule.seed
-    state, advance = _setup_1d(model, schedule, D_max, seed)
+    cell, advance = _setup_1d(model, schedule, D_max, seed)
     for _ in range(planned_steps(schedule.dtau, schedule.tau_max)):
-        state = advance(state)
+        cell = advance(cell)
+    state, _ = split_cell(cell, identity_gate(cell.local_dim), D_max, SVD_CUT)
     return state

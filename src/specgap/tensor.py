@@ -128,8 +128,12 @@ def einsum2(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     multiplies the two (the arithmetic of ``np.tensordot``) and one
     transpose orders the output.  No path is searched, and the matrices
     handed to BLAS depend only on the operands' values, so their memory
-    layout cannot change the bits.  The count is the product of the
-    dimensions of all distinct index letters.
+    layout cannot change the bits.  One exception: when both matrices are
+    views of one buffer, one the other's transpose (a real Gram product
+    ``"qy,py->qp"`` of one array with itself), numpy computes a symmetric
+    rank-k update, whose bits can differ from those of the same product
+    with a copy.  The count is the product of the dimensions of all
+    distinct index letters.
     """
     if len(operands) != 2:
         raise ValueError(f"einsum2 takes two operands, got {len(operands)}")

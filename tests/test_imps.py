@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from specgap import imps
-from specgap.estimator import estimate_gap
+from specgap import imps, tensor
+from specgap.estimator import estimate_gap, planned_steps
 from specgap.imps import (
     EvolutionSchedule,
     IMpsState,
@@ -12,11 +12,14 @@ from specgap.imps import (
     bond_gate,
     expectation_terms_imps,
     final_state_1d,
+    identity_gate,
     pair_degeneracy_defect,
     random_product_imps,
     recanonicalize,
     run_evolution_1d,
+    split_cell,
     tebd_step,
+    to_cell,
 )
 from specgap.models import (
     LocalTerm,
@@ -40,10 +43,39 @@ def chain_bond_hamiltonian(model):
 
 
 def regauge(state, tol=imps.CANONICAL_TOL):
-    """``recanonicalize`` with the identity gate, keeping bond 0's rank."""
+    """``recanonicalize`` with the identity gate, its cell split back into
+    Vidal form keeping bond 0's rank."""
+    ident = identity_gate(state.local_dim)
+    out, _ = split_cell(recanonicalize(state, ident, tol), ident, state.lams[0].size)
+    return out
+
+
+def evolved_cell(model, schedule, D_max, seed):
+    """The cell a 1D run carries at ``schedule.tau_max``."""
+    cell, advance = imps._setup_1d(model, schedule, D_max, seed)
+    for _ in range(planned_steps(schedule.dtau, schedule.tau_max)):
+        cell = advance(cell)
+    return cell
+
+
+def split_expectation(state, terms):
+    """Per-cell expectation of ``terms`` on a Vidal-form state, one window
+    per term and base site, each normalized by its own norm: the split-state
+    evaluation, written out with ``np.einsum``."""
     d = state.local_dim
-    ident = np.eye(d * d).reshape(d, d, d, d)
-    return recanonicalize(state, ident, state.lams[0].size, tol)
+    total = 0.0
+    for term in terms.terms:
+        k = len(term.sites)
+        for base in (0, 1):
+            cur = state.gammas[base] * state.lams[1 - base][:, None, None]
+            for m in range(1, k):
+                cur = np.tensordot(cur * state.lams[(base + m - 1) % 2],
+                                   state.gammas[(base + m) % 2], axes=1)
+            cur = cur * state.lams[(base + k - 1) % 2]
+            vec = cur.reshape(cur.shape[0], d**k, cur.shape[-1])
+            num = np.einsum("apb,pq,aqb->", vec.conj(), term.matrix, vec)
+            total += float(np.real(num / np.vdot(vec, vec)))
+    return total
 
 
 def positive_product_state(local_dim, seed):
@@ -115,8 +147,8 @@ class TestTebdStep:
         n = min(lam_a.size, lam_b.size)
         assert np.max(np.abs(lam_a[:n] - lam_b[:n])) < 1e-10
         oz = OperatorTerms([LocalTerm(((0,),), PAULI_Z)], 2)
-        assert expectation_terms_imps(one, oz) == pytest.approx(
-            expectation_terms_imps(two, oz), abs=1e-10
+        assert expectation_terms_imps(to_cell(one), oz) == pytest.approx(
+            expectation_terms_imps(to_cell(two), oz), abs=1e-10
         )
 
     def test_rank_zero_is_fatal(self):
@@ -129,18 +161,18 @@ class TestTebdStep:
         m = tfim_chain_model(0.0, 1.0)
         st = final_state_1d(m, EvolutionSchedule(dtau=0.05, tau_max=10.0, D_max=4), 4, seed=2)
         ox = OperatorTerms([LocalTerm(((0,),), PAULI_X)], 2)
-        assert expectation_terms_imps(st, ox) / 2.0 == pytest.approx(1.0, abs=1e-6)
+        assert expectation_terms_imps(to_cell(st), ox) / 2.0 == pytest.approx(1.0, abs=1e-6)
 
 
 class TestExpectation:
     def test_identity_counts_cell_sites(self):
-        st = random_product_imps(2, 4)
+        st = to_cell(random_product_imps(2, 4))
         ident = OperatorTerms([LocalTerm(((0,),), np.eye(2))], 2)
         assert expectation_terms_imps(st, ident) == pytest.approx(2.0, abs=1e-12)
 
     def test_up_up_product(self):
         up = np.array([1.0, 0.0]).reshape(1, 2, 1)
-        st = IMpsState([up.copy(), up.copy()], [np.ones(1), np.ones(1)])
+        st = to_cell(IMpsState([up.copy(), up.copy()], [np.ones(1), np.ones(1)]))
         oz = OperatorTerms([LocalTerm(((0,),), PAULI_Z)], 2)
         assert expectation_terms_imps(st, oz) == pytest.approx(2.0, abs=1e-14)
 
@@ -154,7 +186,7 @@ class TestExpectation:
                        + np.kron(SPIN1_Z, SPIN1_Z))],
             3,
         )
-        got = expectation_terms_imps(st, heis) / 2.0  # per bond
+        got = expectation_terms_imps(to_cell(st), heis) / 2.0  # per bond
 
         # independent evaluation through the explicit two-site reduced
         # density matrix of the same state
@@ -174,7 +206,7 @@ class TestExpectation:
         v1 = st.gammas[1].reshape(2)
         op3 = np.kron(np.kron(PAULI_Z, PAULI_X), PAULI_Z)
         terms = OperatorTerms([LocalTerm(((0,), (1,), (2,)), op3)], 2)
-        got = expectation_terms_imps(st, terms)
+        got = expectation_terms_imps(to_cell(st), terms)
         za = v0 @ PAULI_Z @ v0
         xa = v0 @ PAULI_X @ v0
         zb = v1 @ PAULI_Z @ v1
@@ -183,7 +215,7 @@ class TestExpectation:
         assert got == pytest.approx(ref, abs=1e-12)
 
     def test_unsupported_spans_rejected(self):
-        st = random_product_imps(2, 1)
+        st = to_cell(random_product_imps(2, 1))
         four = OperatorTerms([LocalTerm(((0,), (1,), (2,), (3,)), np.eye(16))], 2)
         with pytest.raises(ValueError):
             expectation_terms_imps(st, four)
@@ -194,12 +226,13 @@ class TestExpectation:
 
 @pytest.fixture(scope="module")
 def half_swept_chain():
-    """The J=0.8, g=1, D=32 chain at tau=3, then the two bond updates of a
-    Trotter sweep that precede its ``recanonicalize``."""
+    """The cell of the J=0.8, g=1, D=32 chain at tau=3, then the two bond
+    updates of a Trotter sweep that precede its ``recanonicalize``: the
+    half gate with the bond-0 cut, and the bond-1 update."""
     m = tfim_chain_model(0.8, 1.0)
-    st = final_state_1d(m, EvolutionSchedule(dtau=0.05, tau_max=3.0, D_max=32), 32, seed=2)
+    cell = evolved_cell(m, EvolutionSchedule(dtau=0.05, tau_max=3.0, D_max=32), 32, 2)
     h = chain_bond_hamiltonian(m)
-    st, _ = tebd_step(st, bond_gate(h, 0.025), 0, 32)
+    st, _ = split_cell(cell, bond_gate(h, 0.025), 32)
     st, _ = tebd_step(st, bond_gate(h, 0.05), 1, 32)
     return st
 
@@ -349,7 +382,8 @@ class TestCanonicalForm:
         st, _ = tebd_step(st, bond_gate(h, 0.2), 0, 64)
         st, _ = tebd_step(st, bond_gate(h, 0.4), 1, 64)
         g_half = bond_gate(h, 0.2)
-        fused = recanonicalize(st, g_half, 64)
+        cell = recanonicalize(st, g_half)
+        fused, _ = split_cell(cell, identity_gate(3), 64)
         plain, disc = tebd_step(st, g_half, 0, 64)
         plain = regauge(plain)
         assert disc == 0.0
@@ -357,16 +391,90 @@ class TestCanonicalForm:
             assert fused.lams[b].size == plain.lams[b].size < 64
             assert np.max(np.abs(fused.lams[b] - plain.lams[b])) < 1e-10
         comm = m.commutator()
-        assert expectation_terms_imps(fused, comm) == pytest.approx(
-            expectation_terms_imps(plain, comm), abs=1e-10)
+        assert expectation_terms_imps(cell, comm) == pytest.approx(
+            expectation_terms_imps(to_cell(plain), comm), abs=1e-10)
         assert canonical_defect(fused) <= 1e-6
 
     def test_fused_cut_warns_below_pinv_floor(self, half_swept_chain):
-        # the next bond-1 update divides by the new bond-0 weights
-        h = chain_bond_hamiltonian(tfim_chain_model(0.8, 1.0))
+        # the next step's bond-0 cut of the fused cell; the bond-1 update
+        # after it divides by the new bond-0 weights
+        g_half = bond_gate(chain_bond_hamiltonian(tfim_chain_model(0.8, 1.0)), 0.025)
+        cell = recanonicalize(half_swept_chain, g_half)
         with pytest.warns(RuntimeWarning, match="bond weight below pinv floor"):
-            fused = recanonicalize(half_swept_chain, bond_gate(h, 0.025), 32)
+            fused, _ = split_cell(cell, g_half, 32)
         assert fused.lams[0].min() < PINV_FLOOR
+
+    def test_measured_cells_are_canonical(self, monkeypatch):
+        # every cell a run measures, split without truncation, meets the
+        # isometry conditions up to the fixed points' error: no cut follows
+        # the gauge fix.  Checked on the steps after tau = 10.  The split
+        # divides by the outer weights; in the first 130 or so saturated
+        # steps their smallest values sit at 1e-13 to 1e-11, and the
+        # division lifts the split's rounding to 1e-6 to 1e-4, while the
+        # cell's own isometries stay within 1.1e-6.
+        cells = []
+        measure = imps.expectation_terms_imps
+
+        def recorded(cell, terms):
+            cells.append(cell)
+            return measure(cell, terms)
+
+        monkeypatch.setattr(imps, "expectation_terms_imps", recorded)
+        m = tfim_chain_model(0.8, 1.0)
+        run_evolution_1d(m, EvolutionSchedule(dtau=0.05, tau_max=13.0, D_max=32), 32, seed=2)
+        late = cells[200:]
+        assert len(late) >= 60 and all(c.lam.size == 32 for c in late)
+        for cell in late:
+            state, disc = split_cell(cell, identity_gate(2), 2 * 32, 0.0)
+            assert disc == 0.0
+            assert canonical_defect(state) <= 1e-6
+
+    def test_saturated_step_makes_three_svds(self, monkeypatch):
+        # the bond-0 cut, the bond-1 cut and the gauge SVD: the cell is
+        # carried to the next step uncut, not split and rebuilt
+        m = tfim_chain_model(0.8, 1.0)
+        sch = EvolutionSchedule(dtau=0.05, tau_max=4.0, D_max=32)
+        cell = evolved_cell(m, sch, 32, 2)
+        _, advance = imps._setup_1d(m, sch, 32, 2)
+        assert cell.lam.size == 32
+        shapes = []
+        svd = tensor.svd_fixed
+
+        def counted(mat):
+            shapes.append(mat.shape)
+            return svd(mat)
+
+        monkeypatch.setattr(tensor, "svd_fixed", counted)
+        assert advance(cell).lam.size == 32
+        assert shapes == [(64, 64), (64, 64), (32, 32)]
+
+    @pytest.mark.parametrize("model", [tfim_chain_model(0.8, 1.0), haldane_model()],
+                             ids=["tfim", "haldane"])
+    def test_cell_step_matches_split_step(self, model):
+        # one sweep from a product state with no cut truncating: the
+        # carried cell and the split-state step (three bond updates, then
+        # a re-gauge) give the same weights and commutator; Haldane's
+        # three-site terms at base site 1 cross the cell boundary
+        d = model.hamiltonian.local_dim
+        sch = EvolutionSchedule(dtau=0.2, tau_max=0.2, D_max=64, seed=5)
+        cell, advance = imps._setup_1d(model, sch, 64, 5)
+        cell = advance(cell)
+        new, disc = split_cell(cell, identity_gate(d), 64)
+        assert disc < 1e-24  # rounding-level values only
+
+        h = chain_bond_hamiltonian(model)
+        st = random_product_imps(d, 5)
+        for bond, dtau in ((0, 0.1), (1, 0.2), (0, 0.1)):
+            st, disc = tebd_step(st, bond_gate(h, dtau), bond, 64)
+            assert disc < 1e-24
+        old = regauge(st)
+        for b in (0, 1):
+            assert new.lams[b].size == old.lams[b].size < 64
+            assert np.max(np.abs(new.lams[b] - old.lams[b])) < 1e-10
+        comm = model.commutator()
+        assert max(len(t.sites) for t in comm.terms) == (3 if d == 3 else 2)
+        assert expectation_terms_imps(cell, comm) == pytest.approx(
+            split_expectation(old, comm), abs=1e-10)
 
     def test_d32_chain_run_converges_silently(self):
         m = tfim_chain_model(0.8, 1.0)

@@ -7,15 +7,12 @@ from specgap.tensor import (choose_rank, einsum2, psd_factor, qr_counted,
 
 # every subscript string the package passes to einsum2, by call site
 EINSUM2_SUBSCRIPTS = [
-    # imps: _SANDWICH, k = 1, 2, 3
-    "px,axb->apb",
-    "pqxy,axyb->apqb",
-    "pqrxyz,axyzb->apqrb",
-    # imps: _theta chains (two and three sites); the first is also the
-    # two-site block of tebd_step and recanonicalize
+    # imps: the two-site block of tebd_step and recanonicalize, and the
+    # two cells expectation_terms_imps measures
     "apb,bqc->apqc",
-    "apqb,brc->apqrc",
-    # imps: tebd_step gate
+    # imps: expectation_terms_imps, the reduced density matrix of a window
+    "qy,py->qp",
+    # imps: the gate of tebd_step and split_cell
     "xypq,apqc->axyc",
     # imps: canonical_defect
     "asb,asc->bc",
@@ -46,6 +43,14 @@ EINSUM2_SUBSCRIPTS = [
     "KLkl,kKlL->",
     # wii: _contract_channel_chain
     "cab,cexy->eaxby",
+]
+# einsum2 cases beyond the call sites: an operator on one to three middle
+# axes, and a three-tensor chain
+EINSUM2_CASES = EINSUM2_SUBSCRIPTS + [
+    "px,axb->apb",
+    "pqxy,axyb->apqb",
+    "pqrxyz,axyzb->apqrb",
+    "apqb,brc->apqrc",
 ]
 
 
@@ -162,7 +167,7 @@ def _tensordot_reference(subscripts, a, b):
 
 class TestEinsum2:
     @pytest.mark.parametrize("dtype", [float, complex])
-    @pytest.mark.parametrize("subscripts", EINSUM2_SUBSCRIPTS)
+    @pytest.mark.parametrize("subscripts", EINSUM2_CASES)
     def test_matches_einsum_and_counts(self, subscripts, dtype):
         dims, (a, b) = _operands(subscripts, dtype)
         reset_work()
@@ -176,7 +181,7 @@ class TestEinsum2:
         assert np.array_equal(got, _tensordot_reference(subscripts, a, b))
 
     @pytest.mark.parametrize("dtype", [float, complex])
-    @pytest.mark.parametrize("subscripts", EINSUM2_SUBSCRIPTS)
+    @pytest.mark.parametrize("subscripts", EINSUM2_CASES)
     def test_bits_independent_of_layout(self, subscripts, dtype):
         _, (a, b) = _operands(subscripts, dtype, seed=1)
         ref = einsum2(subscripts, a, b)
