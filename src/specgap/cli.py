@@ -155,9 +155,13 @@ def build_model(cfg: RunConfig) -> models.Model | None:
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute one run and persist trace, derivative and summary files."""
+    """Execute one run and persist trace, derivative and summary files;
+    once the config resolves, an earlier run's files of the same tag go,
+    so a run that fails leaves none."""
     try:
         cfg = cfg.resolve()
+        for suffix in ("_trace.csv", "_deriv.csv", "_summary.txt"):
+            (Path(cfg.outdir) / f"{cfg.tag}{suffix}").unlink(missing_ok=True)
         schedule = EvolutionSchedule(dtau=cfg.dtau, tau_max=cfg.tau_max,
                                      scheme=cfg.scheme, D_max=cfg.D, seed=cfg.seed)
         model = build_model(cfg)
@@ -259,7 +263,6 @@ def sweep(cfg: RunConfig, param: str, values: list[float]) -> int:
         sub = replace(cfg, **{param: int(v) if param == "D" else float(v)},
                       tag=tag)
         summary = outdir / f"{sub.tag}_summary.txt"
-        summary.unlink(missing_ok=True)
         code = run(sub)
         worst = min(worst, code, key=EXIT_RANK.index)
         if code in (EXIT_OK, EXIT_NO_WINDOW):

@@ -36,7 +36,11 @@ operand copied.  There, each end of the axis closes its partner leg and
 pairs its own, the second or third axis, in products whose blocks are
 contiguous.  The closures of the other axes are shared by both ends.  A
 bond's two environments share its dimension and weights, so they are
-kept, normalized and dressed as one (2, D, D) stack, + end first.
+kept, normalized and dressed as one (2, D, D) stack, + end first.  The
+layout copies and the products' buffers are carved from one grow-only
+workspace per dtype, which every plan takes over, so the passes on the
+enlarged bonds fault in no fresh pages once it has grown; only the latest
+plan is live, and sweeping an earlier one raises.
 
 Run from identity messages, whose dressed form is diag(lambda^2), and
 reading only its input (a Jacobi pass), the pass gives the weight-squared
@@ -208,13 +212,39 @@ def _axis_orders(ndim: int) -> tuple[tuple[int, ...], ...]:
                  for a in range(z // 2))
 
 
+class _Workspace:
+    """Grow-only flat buffers, one per dtype, that every ``_plan_pass``
+    carves anew; ``generation`` counts the plans, so only the latest plan
+    is live."""
+
+    def __init__(self) -> None:
+        self.buffers: dict[np.dtype, np.ndarray] = {}
+        self.generation = 0
+
+    def reserve(self, dtype: np.dtype, size: int) -> np.ndarray:
+        """A new generation, and a flat buffer of at least ``size``
+        entries of ``dtype``, grown only when it is too small."""
+        self.generation += 1
+        buf = self.buffers.get(dtype)
+        if buf is None or buf.size < size:
+            buf = self.buffers[dtype] = np.empty(size, dtype)
+        return buf
+
+
+_WORKSPACE = _Workspace()
+
+
 class _BondPass(NamedTuple):
     """One pass over a state's bonds, planned once (``_plan_pass``): every
     product of ``_sweep`` as a view of fixed arrays, so a pass makes one
     matmul per product.  Per axis, ``chains`` close the other axes' legs
     from the next axis's layout, each leading leg in turn, reading the
     incoming message of (bond, side); ``ends`` list the axis's bonds with
-    their dimension and the products of their + and - ends."""
+    their dimension and the products of their + and - ends.
+
+    The layout copies and buffers are views of the shared workspace, so a
+    plan is live until the next ``_plan_pass``: ``generation`` stamps it,
+    and sweeping a stale plan raises."""
 
     lams: list[np.ndarray]
     dressing: list[np.ndarray]
@@ -222,16 +252,21 @@ class _BondPass(NamedTuple):
     ends: list[list[tuple]]
     madds: float
     dtype: np.dtype
+    generation: int
 
 
 def _plan_pass(st: IPepsState) -> _BondPass:
     """Lay out every site tensor of ``st`` once per axis and plan the
     pass's products on that layout.  Per site: the tensor in each axis's
-    order, the bra likewise, and two buffers; reusing them spares the
-    allocator.  Per (axis, site), the chain writes the buffers
-    alternately, so the shared tensor lands in the second one in the
-    axis's own layout (p, +a, -a, rest); per end, the partner-leg closure
-    goes into the first buffer, and the pair reads it."""
+    order, the bra likewise, and two buffers.  A layout that is the
+    tensor in C order is the tensor itself, and a real bra is its ket;
+    the other layouts and the buffers are carved from the workspace of the
+    state's dtype, which this plan takes over from the previous one, so a
+    plan no larger than an earlier one faults in no fresh pages.  Per
+    (axis, site), the chain writes the buffers alternately, so the shared
+    tensor lands in the second one in the axis's own layout (p, +a, -a,
+    rest); per end, the partner-leg closure goes into the first buffer,
+    and the pair reads it."""
     bonds = bond_list(st)
     n_axes = st.dimension
     p = st.local_dim
@@ -242,12 +277,29 @@ def _plan_pass(st: IPepsState) -> _BondPass:
     for bi, b in enumerate(bonds):
         side[(b.i_site, b.i_leg)] = (bi, 0)
         side[(b.j_site, b.j_leg)] = (bi, 1)
+    # room for every layout and two buffers per site
+    space = _WORKSPACE.reserve(dtype, (n_axes + 2) * sum(t.size for t in st.tensors))
+    used = 0
+
+    def carve(size):
+        nonlocal used
+        used += size
+        return space[used - size:used]
+
+    def laid_out(v):
+        """``v`` in C order: itself, or its copy in the workspace."""
+        if v.flags.c_contiguous:
+            return v
+        out = carve(v.size).reshape(v.shape)
+        np.copyto(out, v)
+        return out
+
     chains = [[] for _ in range(n_axes)]
     site_ends = [[None] * st.n_sites for _ in range(n_axes)]
     madds = 0.0
     for s, t in enumerate(st.tensors):
-        kets = [np.ascontiguousarray(t.transpose(order)) for order in orders]
-        bufs = (np.empty(t.size, dtype), np.empty(t.size, dtype))
+        kets = [laid_out(t.transpose(order)) for order in orders]
+        bufs = (carve(t.size), carve(t.size))
         for a in range(n_axes):
             x = kets[(a + 1) % n_axes]
             legs = orders[(a + 1) % n_axes][1:-2]
@@ -277,7 +329,7 @@ def _plan_pass(st: IPepsState) -> _BondPass:
         ends[b.axis].append((bi, lams[bi].size, (
             site_ends[b.axis][b.i_site][0], site_ends[b.axis][b.j_site][1])))
     return _BondPass(lams, [np.outer(w, w) for w in lams], chains, ends,
-                     madds, dtype)
+                     madds, dtype, _WORKSPACE.generation)
 
 
 def _sweep(plan: _BondPass, dressed: list[np.ndarray], update: bool
@@ -292,8 +344,12 @@ def _sweep(plan: _BondPass, dressed: list[np.ndarray], update: bool
     replaces the bond's entry of ``dressed`` before later bonds read it; a
     stack with a trace <= 0 raises RuntimeError.  Without (a Jacobi
     pass), ``dressed`` is only read and the stacks are returned raw.  The
-    two ends of one bond read no message the other writes.
+    two ends of one bond read no message the other writes.  A plan made
+    before the latest ``_plan_pass`` raises RuntimeError: its buffers now
+    belong to that plan.
     """
+    if plan.generation != _WORKSPACE.generation:
+        raise RuntimeError("stale bond pass: a later plan reuses its buffers")
     add_work(plan.madds)
     out = []
     for chains, ends in zip(plan.chains, plan.ends):
@@ -559,8 +615,6 @@ def superorthogonalize(
     sweeps = 0
     while iterations < max_iter and not residual <= so_tol:
         msgs, n_sweeps = _message_fixed_point(plan, so_tol, grams)
-        # free this plan's buffers before the next plan allocates its own
-        del plan
         sweeps += n_sweeps
         _rotate_bonds(st, msgs)
         iterations += 1
@@ -619,9 +673,8 @@ def apply_axis_mpo(
     w = mpo.tensor
     dw = mpo.virtual_dim
     legs = _LEG_LETTERS[: 2 * dlat]
-    # out axes: (l, r, p, legs...);  l rides the -axis bond, r the +axis bond
+    # product axes: (l, r, p, legs...);  l rides the -axis bond, r the +axis bond
     sub = f"lrpq,q{legs}->lrp{legs}"
-    out = einsum2(sub, w, t)
     perm = [2]
     new_shape = [t.shape[0]]
     for b in range(dlat):
@@ -632,16 +685,17 @@ def apply_axis_mpo(
         else:
             perm += [plus, minus]
             new_shape += [t.shape[1 + 2 * b], t.shape[2 + 2 * b]]
-    merged = np.transpose(out, perm).reshape(new_shape)
     st = state.copy()
-    st.tensors[0] = merged
+    # no name holds the product or the merged tensor, so each is freed once
+    # the next replaces it; a dead enlarged array held over the gauge pass
+    # and the cut made the allocator return pages and fault them in again
+    st.tensors[0] = np.transpose(einsum2(sub, w, t), perm).reshape(new_shape)
     lam = st.lams[(axis, 0)]
     st.lams[(axis, 0)] = np.kron(lam, np.ones(dw)) / np.sqrt(dw)
     if st.max_bond() <= D_max:
         return st, 0.0
     plan, grams = _planned_grams(st)
     msgs, _ = _message_fixed_point(plan, MESSAGE_ANDERSON_START, grams)
-    del plan, grams
     _rotate_bonds(st, msgs)
     return truncate_bonds(st, D_max)
 

@@ -1,8 +1,9 @@
 import pytest
 
-from specgap import cli, oracle
+from specgap import cli, ipeps, oracle
 from specgap.cli import (
     EXIT_NO_WINDOW,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     RunConfig,
@@ -177,6 +178,30 @@ class TestRun:
         assert main(args + ["--outdir", str(b)]) == EXIT_OK
         assert (a / "rep_trace.csv").read_bytes() == (b / "rep_trace.csv").read_bytes()
         assert (a / "rep_deriv.csv").read_bytes() == (b / "rep_deriv.csv").read_bytes()
+
+    @pytest.mark.parametrize("failure", ["numeric", "usage"])
+    def test_failed_rerun_leaves_no_stale_files(self, tmp_path, monkeypatch,
+                                                failure):
+        # a rerun of a tag that fails once its config resolves must not
+        # leave the earlier run's files behind as if they were its result
+        args = ["run", "--model", "tfim2d", "--D", "2", "--tau_max", "6",
+                "--seed", "5", "--outdir", str(tmp_path), "--tag", "rerun"]
+        assert main(args) == EXIT_OK
+        files = [tmp_path / f"rerun{suffix}"
+                 for suffix in ("_trace.csv", "_deriv.csv", "_summary.txt")]
+        assert all(f.exists() for f in files)
+        if failure == "numeric":
+            def broken(*_args, **_kwargs):
+                raise RuntimeError("bond environment collapsed to zero")
+
+            monkeypatch.setattr(ipeps, "apply_axis_mpo", broken)
+            expected = EXIT_NUMERIC
+        else:
+            # a step longer than the run: the schedule rejects it
+            args += ["--dtau", "40"]
+            expected = EXIT_USAGE
+        assert main(args) == expected
+        assert not any(f.exists() for f in files)
 
     def test_run_stops_once_its_window_closed(self, tmp_path):
         code = main([

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -390,6 +391,92 @@ class TestMessageFixedPoint:
             _, sweeps = solve(st, 1e-12, identity_messages(st))
         assert sweeps == 1
         assert work_count() - before == shared_sweep_madds(st)
+
+
+def written_buffers(plan):
+    """The arrays a plan's products write: each chain step's output, and
+    per bond end its partner-leg closure and the pair's view of it."""
+    out = [y for chains in plan.chains for _, _, y in chains]
+    for ends in plan.ends:
+        for _, _, pair in ends:
+            for _, ket, _, _, ket_t in pair:
+                out += [ket, ket_t]
+    return out
+
+
+class TestPlanWorkspace:
+    """Every plan carves its layout copies and buffers from one grow-only
+    workspace per dtype; only the latest plan is live."""
+
+    def test_successive_plans_share_their_buffers(self):
+        # the enlarged 2D state of the headline run: 256 KB per layout
+        st = kernel_state((2, 16, 16, 8, 8), 0, float)
+        t = st.tensors[0]
+        ipeps._plan_pass(st)  # warm-up: the workspace grows to this state
+        space = ipeps._WORKSPACE.buffers[np.dtype(float)]
+        first = ipeps._plan_pass(st)
+        tracemalloc.start()
+        try:
+            second = ipeps._plan_pass(st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # nothing the size of a layout or a buffer is allocated
+        assert peak < t.nbytes
+        assert ipeps._WORKSPACE.buffers[np.dtype(float)] is space
+        pairs = list(zip(written_buffers(first), written_buffers(second)))
+        assert pairs
+        for a, b in pairs:
+            assert np.shares_memory(a, b) and np.shares_memory(b, space)
+        # axis 0 closes from axis 1's layout, a copy in the workspace;
+        # axis 1 from axis 0's, which is the tensor itself
+        (x0, _, _), (x1, _, _) = second.chains[0][0], second.chains[1][0]
+        assert np.shares_memory(x0, space) and not np.shares_memory(x0, t)
+        assert np.shares_memory(x1, t)
+
+    def test_stale_plan_raises(self):
+        st = kernel_state((2, 6, 6, 4, 4), 0, float)
+        stale = ipeps._plan_pass(st)
+        live = ipeps._plan_pass(st)
+        with pytest.raises(RuntimeError, match="stale bond pass"):
+            ipeps._grams(stale)
+        with pytest.raises(RuntimeError, match="stale bond pass"):
+            ipeps._message_fixed_point(stale, 1e-12, identity_messages(st))
+        assert len(ipeps._grams(live)) == len(bond_list(st))
+
+    def test_gauge_fix_ignores_earlier_plans(self, monkeypatch):
+        # one state's gauge fix from a fresh workspace, then from one that
+        # a larger, enlarged plan has grown and written
+        monkeypatch.setattr(ipeps, "_WORKSPACE", ipeps._Workspace())
+        st = scramble_gauge(kernel_state((2, 4, 4, 3, 3), 3, float), 5)
+        before, info_before = superorthogonalize(st)
+        ipeps._grams(ipeps._plan_pass(kernel_state((2, 12, 12, 6, 6), 4, float)))
+        after, info_after = superorthogonalize(st)
+        assert ipeps._WORKSPACE.buffers[np.dtype(float)].size > 2 * 3 * 4 * 4 * 3 * 3
+        for a, b in zip(before.tensors, after.tensors):
+            assert a.tobytes() == b.tobytes()
+        for key in before.lams:
+            assert before.lams[key].tobytes() == after.lams[key].tobytes()
+        assert info_before == info_after
+
+    def test_complex_plan_reads_no_real_buffer(self, monkeypatch):
+        shape = (2, 3, 3, 5, 5)
+        monkeypatch.setattr(ipeps, "_WORKSPACE", ipeps._Workspace())
+        cplx = kernel_state(shape, 0, complex)
+        alone = ipeps._grams(ipeps._plan_pass(cplx))
+        ipeps._grams(ipeps._plan_pass(kernel_state(shape, 1, float)))
+        real_space = ipeps._WORKSPACE.buffers[np.dtype(float)]
+        plan = ipeps._plan_pass(cplx)
+        reads = [xt for chains in plan.chains for xt, _, _ in chains]
+        for ends in plan.ends:
+            for _, _, pair in ends:
+                for ket_in, _, _, bra, _ in pair:
+                    reads += [ket_in, bra]
+        for a in reads + written_buffers(plan):
+            assert a.dtype == complex
+            assert not np.shares_memory(a, real_space)
+        for a, b in zip(alone, ipeps._grams(plan)):
+            assert a.tobytes() == b.tobytes()
 
 
 def assert_bond_table(st):
