@@ -4,14 +4,16 @@ The pipeline is: spike removal, central-difference derivative, detection of
 the longest derivative plateau (a median band, deterministic and auditable),
 then a least-squares line through the plateau whose negated slope is the gap.
 Every trace goes through the same detection: the raw derivative inside a
-band of ``WINDOW_REL_TOL``, whatever scheme produced it.
+band of ``WINDOW_REL_TOL``, whatever scheme produced it.  The plateau is
+the first longest greedy run, grown from each start until a sample breaks
+the band; the one shortcut is a jump over the samples that lie in the band
+at every length.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -185,107 +187,29 @@ class _RunningMedian:
         return (self._sorted[-1] - med) <= band and (med - self._sorted[0]) <= band
 
 
-# Bounds on a greedy run from its samples' range alone.  Samples inside the
-# band share one sign, and their smallest magnitude is at least
-# 1 - 2 * WINDOW_REL_TOL of their largest; samples whose largest magnitude
-# is within 1 + WINDOW_REL_TOL of their smallest are inside the band at
-# every length.  The 1e-9 keeps both safe from rounding.  They only decide
-# which runs must be grown sample by sample, never a run's length.
-_RATIO_MAY_FIT = 1.0 - 2.0 * WINDOW_REL_TOL * (1.0 + 1e-9)
+# Samples of one sign whose largest magnitude is within 1 + WINDOW_REL_TOL
+# of their smallest lie inside the band of any median they can have, so a
+# run jumps over them; the 1e-9 keeps that safe from rounding.
 _RATIO_FITS = 1.0 / (1.0 + WINDOW_REL_TOL * (1.0 - 1e-9))
 
 
-class _Frontier:
-    """For a stream of samples, the earliest start of the stretch ending at
-    each sample whose magnitudes share one sign and keep min >= ratio * max.
-
-    Every part of such a stretch is one too, so the start only moves
-    forward: two monotone queues give it in amortized O(1) per sample.
-    ``starts[e]`` is the start for the stretch ending at sample e.
-    """
-
-    def __init__(self, ratio: float):
-        self.ratio = ratio
-        self.starts: list[int] = []
-        self._start = 0
-        self._sign = None
-        self._mags: list[float] = []
-        self._low: deque[int] = deque()   # indices of increasing magnitude
-        self._high: deque[int] = deque()  # indices of decreasing magnitude
-
-    def push(self, x: float) -> None:
-        mags, low, high = self._mags, self._low, self._high
-        e = len(mags)
-        mag = abs(x)
-        mags.append(mag)
-        sign = (x > 0) - (x < 0)
-        if sign != self._sign:
-            self._sign, self._start = sign, e
-            low.clear()
-            high.clear()
-        while low and mags[low[-1]] >= mag:
-            low.pop()
-        low.append(e)
-        while high and mags[high[-1]] <= mag:
-            high.pop()
-        high.append(e)
-        while mags[low[0]] < self.ratio * mags[high[0]]:
-            # every start up to the older extreme keeps both extremes
-            self._start = min(low[0], high[0]) + 1
-            while low[0] < self._start:
-                low.popleft()
-            while high[0] < self._start:
-                high.popleft()
-        self.starts.append(self._start)
-
-
-class _Runs:
-    """Derivative samples with what bounds each greedy run of
-    ``detect_linear_window`` before it is grown."""
-
-    def __init__(self, values=()):
-        self.values: list[float] = list(values)
-        self._may_fit = _Frontier(_RATIO_MAY_FIT)
-        self._fits = _Frontier(_RATIO_FITS)
-        self._window = (0, 0, [])  # (i, j, sorted values[i:j]) of the last run
-
-    def _sorted_values(self, i: int, j: int) -> list[float]:
-        """Sorted values[i:j], slid from the last run's when that moves
-        fewer samples than it keeps."""
-        lo, hi, window = self._window
-        if lo <= i < hi <= j and (i - lo) + (j - hi) < hi - i:
-            for x in self.values[lo:i]:
-                del window[bisect.bisect_left(window, x)]
-            for x in self.values[hi:j]:
-                bisect.insort(window, x)
-        else:
-            window = sorted(self.values[i:j])
-        self._window = (i, j, window)
-        return window
-
-    def grow(self, i: int, need: int, stop: int):
-        """The greedy run from sample ``i`` over the samples before
-        ``stop``: (end, run), where end is the first sample that breaks the
-        band (``stop`` if none does) and run holds the run's samples.
-        (None, None) when the run must break before ``stop`` and holds
-        fewer than ``need`` samples."""
-        # the frontiers take the samples when a run first reads them
-        for x in self.values[len(self._fits.starts):stop]:
-            self._may_fit.push(x)
-            self._fits.push(x)
-        # samples i..cap cannot all lie in the band
-        cap = bisect.bisect_right(self._may_fit.starts, i)
-        if cap < stop and cap - i < need:
-            return None, None
-        # every run from i that ends before j lies in the band
-        j = min(bisect.bisect_right(self._fits.starts, i), stop)
-        run = _RunningMedian(self._sorted_values(i, j))
-        while j < stop:
-            run.add(self.values[j])
-            if not run.within_band():
-                break
-            j += 1
-        return j, run
+def _grow(values: list[float], i: int, stop: int) -> tuple[int, _RunningMedian]:
+    """The greedy run from sample ``i`` over the samples before ``stop``:
+    (end, run), where end is the first sample that breaks the band
+    (``stop`` if none does) and run holds the run's samples."""
+    x = np.asarray(values[i:stop])
+    # magnitudes in the first sample's sign: one of another sign is <= 0
+    mag = x if x[0] >= 0 else -x
+    fits = np.minimum.accumulate(mag) >= _RATIO_FITS * np.maximum.accumulate(mag)
+    k = int(np.argmin(fits))
+    j = stop if fits[k] else i + k
+    run = _RunningMedian(values[i:j])
+    while j < stop:
+        run.add(values[j])
+        if not run.within_band():
+            break
+        j += 1
+    return j, run
 
 
 def _need(best: tuple[int, int] | None) -> int:
@@ -293,7 +217,7 @@ def _need(best: tuple[int, int] | None) -> int:
     return MIN_WINDOW_POINTS if best is None else best[1] - best[0] + 1
 
 
-def _best_run(runs: _Runs, first: int, last: int, stop: int) -> tuple[int, int] | None:
+def _best_run(values: list[float], first: int, last: int, stop: int) -> tuple[int, int] | None:
     """The first longest greedy run, of at least ``MIN_WINDOW_POINTS``
     samples, from the starts first..last - 1 over the samples before
     ``stop``."""
@@ -302,8 +226,8 @@ def _best_run(runs: _Runs, first: int, last: int, stop: int) -> tuple[int, int] 
         need = _need(best)
         if stop - i < need:
             break
-        j, _ = runs.grow(i, need, stop)
-        if j is not None and j - i >= need:
+        j, _ = _grow(values, i, stop)
+        if j - i >= need:
             best = (i, j)
     return best
 
@@ -318,14 +242,15 @@ def detect_linear_window(
     The first 10% of samples are discarded as transient.  Runs are grown
     greedily from each start; growth stops at the first sample that breaks
     the band (deterministic and auditable rather than globally maximal).
-    A run whose samples' range shows it cannot outgrow the best so far is
-    skipped, and a run skips the checks its range already settles; the
-    result is that of growing every run sample by sample.
+    Each run first jumps over the samples from its start that share one
+    sign and keep their magnitudes within 1 + ``WINDOW_REL_TOL`` of each
+    other, which lie in the band at every length; the result is that of
+    growing every run sample by sample.
     Returns (index window [i0, i1), quality flag).
     """
     n = len(deriv)
     start = n // 10
-    best = _best_run(_Runs(deriv.tolist()), start, n, n)
+    best = _best_run(deriv.tolist(), start, n, n)
 
     if best is not None:
         flag = QUALITY_CLEAN
@@ -359,8 +284,10 @@ class _StopRule:
     derivative samples with ``SPIKE_HALFWIDTH + 1``.  Over those it runs
     ``detect_linear_window``'s greedy runs lazily: every start before
     ``open`` is known to close on a fixed sample, and the run from ``open``
-    may still grow.  Each call is amortized O(1), except when the moving
-    transient cut passes the window's start.  A stop is confirmed against
+    may still grow.  Each start's run is grown once, with the jump that
+    ``detect_linear_window`` states; when the moving transient cut passes
+    the window's start, the closed runs from the starts it keeps are grown
+    again.  A stop is confirmed against
     ``drop_spikes`` and ``numerical_derivative`` on the prefix.  They can
     disagree while a spike is not yet decided (the cut counts every
     undecided sample) or when trace gaps move the spacing median; the next
@@ -373,7 +300,7 @@ class _StopRule:
         self.last_kept = None       # the last kept sample before it
         self.spacing = _RunningMedian()  # tau spacings of the trace so far
         self.spaced = 1             # samples whose spacing before them is in it
-        self.runs = _Runs()         # the fixed derivative samples
+        self.deriv: list[float] = []  # the fixed derivative samples
         self.sample_of: list[int] = []  # trace index of each
         self.best: tuple[int, int] | None = None
         self.open = 0
@@ -407,7 +334,7 @@ class _StopRule:
         self.cut = (f + n - 1 - self.sample_of[-1]) // 10
         if self.best is not None and self.best[0] < self.cut:
             # the closed runs from the starts the cut keeps
-            self.best = _best_run(self.runs, self.cut, self.open, f)
+            self.best = _best_run(self.deriv, self.cut, self.open, f)
         if self.open < self.cut:
             self.open, self.run = self.cut, None
         while True:
@@ -417,7 +344,7 @@ class _StopRule:
                     return n >= self.confirm_at and self._confirm(taus, cs)
             if self.run is not None or self.open >= f:
                 return False
-            j, run = self.runs.grow(self.open, _need(self.best), f)
+            j, run = _grow(self.deriv, self.open, f)
             if j == f:
                 self.run = run
             else:
@@ -443,17 +370,16 @@ class _StopRule:
             d = (cs[r + 1] - cs[prev]) / (taus[r + 1] - taus[prev])
         else:
             return
-        self.runs.values.append(d)
+        self.deriv.append(d)
         self.sample_of.append(r)
         if self.run is not None:
             self.run.add(d)
             if not self.run.within_band():
                 self._close(len(self.sample_of) - 1)
 
-    def _close(self, end: int | None) -> None:
-        """The run from ``open`` broke at fixed sample ``end`` (None: too
-        short to matter)."""
-        if end is not None and end - self.open >= _need(self.best):
+    def _close(self, end: int) -> None:
+        """The run from ``open`` broke at fixed sample ``end``."""
+        if end - self.open >= _need(self.best):
             self.best = (self.open, end)
         self.open += 1
         self.run = None
@@ -462,7 +388,7 @@ class _StopRule:
         taus_d, deriv = numerical_derivative(drop_spikes(GapTrace(taus, cs)))
         f = len(self.sample_of)
         if (len(deriv) // 10 == self.cut
-                and np.array_equal(deriv[:f], self.runs.values)
+                and np.array_equal(deriv[:f], self.deriv)
                 and np.array_equal(taus_d[:f], [taus[r] for r in self.sample_of])):
             return True
         self.confirm_at = len(taus) + self.wait

@@ -632,20 +632,21 @@ def superorthogonalize(
 
 def truncate_bonds(state: IPepsState, D_max: int) -> tuple[IPepsState, float]:
     """Cut every bond to its leading D_max weights (superorthogonal gauge
-    makes this the bond-locally optimal cut); weights renormalized."""
-    st = state.copy()
+    makes this the bond-locally optimal cut); weights renormalized.  The
+    result shares the arrays of ``state`` that the cut keeps."""
+    tensors, lams = list(state.tensors), dict(state.lams)
     worst = 0.0
-    for b in bond_list(st):
-        lam = st.lams[b.key]
+    for b in bond_list(state):
+        lam = lams[b.key]
         if lam.size <= D_max:
             continue
         total = float(np.dot(lam, lam))
         worst = max(worst, float(np.dot(lam[D_max:], lam[D_max:])) / total)
-        st.lams[b.key] = lam[:D_max] / np.linalg.norm(lam[:D_max])
+        lams[b.key] = lam[:D_max] / np.linalg.norm(lam[:D_max])
         sel = np.arange(D_max)
-        st.tensors[b.i_site] = np.take(st.tensors[b.i_site], sel, axis=b.i_leg)
-        st.tensors[b.j_site] = np.take(st.tensors[b.j_site], sel, axis=b.j_leg)
-    return st, worst
+        tensors[b.i_site] = np.take(tensors[b.i_site], sel, axis=b.i_leg)
+        tensors[b.j_site] = np.take(tensors[b.j_site], sel, axis=b.j_leg)
+    return IPepsState(tensors, lams), worst
 
 
 def apply_axis_mpo(
@@ -685,13 +686,16 @@ def apply_axis_mpo(
         else:
             perm += [plus, minus]
             new_shape += [t.shape[1 + 2 * b], t.shape[2 + 2 * b]]
-    st = state.copy()
+    lam = state.lams[(axis, 0)]
     # no name holds the product or the merged tensor, so each is freed once
     # the next replaces it; a dead enlarged array held over the gauge pass
-    # and the cut made the allocator return pages and fault them in again
-    st.tensors[0] = np.transpose(einsum2(sub, w, t), perm).reshape(new_shape)
-    lam = st.lams[(axis, 0)]
-    st.lams[(axis, 0)] = np.kron(lam, np.ones(dw)) / np.sqrt(dw)
+    # and the cut made the allocator return pages and fault them in again.
+    # The other weights are shared with ``state``: no step writes into a
+    # state's arrays, it rebinds its list and dict entries.
+    st = IPepsState(
+        [np.transpose(einsum2(sub, w, t), perm).reshape(new_shape)],
+        {**state.lams, (axis, 0): np.kron(lam, np.ones(dw)) / np.sqrt(dw)},
+    )
     if st.max_bond() <= D_max:
         return st, 0.0
     plan, grams = _planned_grams(st)

@@ -313,14 +313,14 @@ class TestRecordTrace:
 
     @staticmethod
     def replay(c_of_tau, dtau, tau_max):
-        """The recorded trace of C(tau), and the trace of every planned step."""
+        """The recorded trace of C(tau), and the trace of every planned step;
+        a C of -inf is a skipped sample (a trace gap) in both."""
         def measure(step):
             return np.exp(c_of_tau(step * dtau))
 
         trace = record_trace(0, lambda st: st + 1, measure, dtau, tau_max)
-        steps = planned_steps(dtau, tau_max)
-        full = GapTrace(dtau * np.arange(steps + 1),
-                        [np.log(abs(measure(k))) for k in range(steps + 1)])
+        kept = [k for k in range(planned_steps(dtau, tau_max) + 1) if measure(k) != 0.0]
+        full = GapTrace(dtau * np.array(kept), [np.log(abs(measure(k))) for k in kept])
         assert np.array_equal(trace.taus, full.taus[:len(trace)])
         assert np.array_equal(trace.cs, full.cs[:len(trace)])
         return trace, full
@@ -372,6 +372,27 @@ class TestRecordTrace:
         est = estimate_gap(trace)
         assert np.sum(trace.taus > est.window[1]) >= SPIKE_HALFWIDTH + 1
         assert est == estimate_gap(full)
+
+    def test_stopped_fit_is_the_full_fit(self):
+        # C integrated from plateau derivatives, with spikes and one trace
+        # gap: wherever the full trace's transient cut lies before its
+        # window, the stopped trace reads the same fit, field for field
+        dtau, n = 0.05, 160
+        checked = stopped = 0  # traces compared, and those that stopped early
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            cs = np.r_[0.0, np.cumsum(plateaus(rng, n) * dtau)]
+            cs[rng.choice(np.arange(1, n + 1), size=3, replace=False)] -= 1.5 * SPIKE_DEPTH
+            cs[rng.integers(1, n + 1)] = -np.inf
+            trace, full = self.replay(lambda t: cs[round(t / dtau)], dtau, n * dtau)
+            assert len(full) == n and len(drop_spikes(full)) < n
+            deriv = numerical_derivative(drop_spikes(full))[1]
+            idx, _ = detect_linear_window(deriv)
+            if idx is not None and idx[0] > len(deriv) // 10:
+                checked += 1
+                stopped += len(trace) < len(full)
+                assert estimate_gap(trace) == estimate_gap(full), seed
+        assert checked >= 12 and stopped >= 6, (checked, stopped)
 
     def test_open_plateau_runs_to_tau_max(self):
         trace, full = self.replay(self.bend(40.0), dtau=0.1, tau_max=30.0)

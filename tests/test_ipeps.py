@@ -831,6 +831,32 @@ class TestAxisMpo:
             info.residual, rel=1e-6, abs=1e-14)
         assert info.converged == (info.residual <= ipeps.SO_TOL)
 
+    @pytest.mark.parametrize("dim,J,D", [(2, 0.2, 4), (3, 0.15, 3)],
+                             ids=["2d", "3d"])
+    def test_input_state_left_unchanged(self, dim, J, D):
+        # both results share the input's arrays that they do not replace,
+        # so neither function may write into its input state
+        def same_bits(a, b):
+            return (len(a.tensors) == len(b.tensors) and a.lams.keys() == b.lams.keys()
+                    and all(x.shape == y.shape and x.tobytes() == y.tobytes()
+                            for x, y in zip(a.tensors, b.tensors))
+                    and all(a.lams[k].tobytes() == b.lams[k].tobytes() for k in a.lams))
+
+        st, mpos = self.evolved(dim, J, D)
+        for a, w in enumerate(mpos):
+            kept = st.copy()
+            out, _ = apply_axis_mpo(st, w, a, D)
+            assert same_bits(st, kept)
+            wide, _ = apply_axis_mpo(st, w, a, 100)
+            assert wide.max_bond() > D
+            kept = wide.copy()
+            cut, _ = ipeps.truncate_bonds(wide, D)
+            assert same_bits(wide, kept)
+            assert cut.max_bond() == D
+            assert all(cut.lams[k] is wide.lams[k]
+                       for k in wide.lams if wide.lams[k].size <= D)
+            st = out
+
     def test_cut_state_is_polished(self, monkeypatch):
         # plain sweeps to MESSAGE_ANDERSON_START on the enlarged bonds and
         # the cut right after that pass; the step's polish at D_max to SO_TOL
